@@ -24,19 +24,13 @@ from .errors import (
 )
 from .estimators import (
     EstimatorConfig,
-    LevelSample,
     LevelStats,
-    accumulate,
     merge,
     nmc_estimate,
-    sample_correction,
     sample_level_values,
-    sample_level_zero,
     sample_p_values,
-    sample_plain_difference,
 )
 from .gaussian import GaussianDensity
-from .laplace import GaussianIS, laplace_fit, log_is_weight
 from .models import (
     LinearGaussianSpec,
     PkSpec,
@@ -57,24 +51,19 @@ __all__ = [
     "EvaluationError",
     "ForwardMap",
     "GaussianDensity",
-    "GaussianIS",
     "InnerUnderflowError",
     "InsufficientDataError",
-    "LevelSample",
     "LevelStats",
     "LinearGaussianSpec",
     "MlmcRunResult",
     "NonConvergenceError",
     "PkSpec",
     "RandomStream",
-    "accumulate",
     "bias_converged",
     "estimate_rates",
     "fd_hessian",
     "fd_jacobian",
-    "laplace_fit",
     "linear_gaussian_analytic_eig",
-    "log_is_weight",
     "log_likelihood",
     "make_linear_model",
     "make_pk_model",
@@ -84,11 +73,8 @@ __all__ = [
     "optimal_allocation",
     "pk_forward",
     "run_adaptive",
-    "sample_correction",
     "sample_data",
     "sample_level_values",
-    "sample_level_zero",
     "sample_p_values",
-    "sample_plain_difference",
     "sampling_schedule",
 ]

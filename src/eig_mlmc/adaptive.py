@@ -156,11 +156,9 @@ def run_adaptive(
     model: BayesModel,
     est_config: EstimatorConfig,
     adapt_config: AdaptiveConfig,
-    is_enabled: bool | None = None,
     threads: int = 1,
 ) -> MlmcRunResult:
     """Adaptive multilevel estimate of the expected information gain."""
-    use_is = est_config.use_is if is_enabled is None else is_enabled
     eps = adapt_config.eps
     omega = adapt_config.omega
     stream = RandomStream(adapt_config.seed)
@@ -171,15 +169,14 @@ def run_adaptive(
     trace: list[RoundRecord] = []
 
     def cost_of(level: int) -> float:
-        return per_sample_cost(model, est_config.inner_count(level), use_is)
+        return per_sample_cost(model, est_config.inner_count(level), est_config.use_is)
 
     for round_idx in range(MAX_ROUNDS):
         for l in levels:
             need = targets[l] - stats[l].count
             if need > 0:
                 vals = sample_level_values(
-                    model, est_config, l, stats[l].count, need, stream,
-                    use_is=use_is, threads=threads,
+                    model, est_config, l, stats[l].count, need, stream, threads=threads,
                 )
                 stats[l] = merge(stats[l], stats_from_values(vals, cost_of(l), l))
 

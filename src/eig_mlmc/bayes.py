@@ -21,6 +21,7 @@ __all__ = [
     "ForwardMap",
     "BayesModel",
     "log_likelihood",
+    "response_log_likelihood",
     "sample_data",
     "fd_jacobian",
     "fd_hessian",
@@ -101,6 +102,22 @@ class BayesModel:
         return self.replicates * self.forward.out_dim
 
 
+def response_log_likelihood(model: BayesModel, g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """log p(y_b | .) from evaluated responses g (n, m, w) and data y (n, Ne*w),
+    shape (n, m); a single data row (1, Ne*w) is shared by every row of g.
+
+    The one Gaussian likelihood kernel: the sum over replicates of the
+    residual quadratic forms under the noise Cholesky factor.
+    """
+    n, m, w = g.shape
+    ne = model.replicates
+    resid = y.reshape(-1, 1, ne, w) - g[:, :, None, :]
+    u = solve_triangular(model.noise.chol, resid.reshape(-1, w).T, lower=True)
+    with np.errstate(over="ignore"):  # an overflowing quad form means density zero
+        quad = np.sum(u * u, axis=0).reshape(n, m, ne).sum(axis=-1)
+    return ne * model.noise.log_norm_const - 0.5 * quad
+
+
 def log_likelihood(model: BayesModel, theta: np.ndarray, y: np.ndarray) -> float | np.ndarray:
     """log p(y | theta) for one theta (d,) or a batch (n, d).
 
@@ -117,15 +134,9 @@ def log_likelihood(model: BayesModel, theta: np.ndarray, y: np.ndarray) -> float
         raise ValueError(f"theta must have dimension {d}")
     if y.shape != (ne * w,):
         raise ValueError(f"y must have shape ({ne * w},)")
-    single = theta.ndim == 1
-    thetas = np.atleast_2d(theta)
-
-    g = model.forward.eval(thetas)                       # (n, w)
-    resid = y.reshape(ne, w)[None, :, :] - g[:, None, :]  # (n, ne, w)
-    u = solve_triangular(model.noise.chol, resid.reshape(-1, w).T, lower=True)
-    quad = np.sum(u * u, axis=0).reshape(-1, ne).sum(axis=1)
-    out = ne * model.noise.log_norm_const - 0.5 * quad
-    return float(out[0]) if single else out
+    g = model.forward.eval(np.atleast_2d(theta))           # (n, w)
+    out = response_log_likelihood(model, g[None], y[None])[0]
+    return float(out[0]) if theta.ndim == 1 else out
 
 
 def sample_data(model: BayesModel, theta: np.ndarray, stream: RandomStream | np.random.Generator) -> np.ndarray:

@@ -58,6 +58,17 @@ class ConfigError(ValueError):
     """Invalid run configuration (syntax or semantics)."""
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _integer(key: str, value, minimum: int) -> int:
+    """``value`` as an int when it is integral (2 or 2.0, not a bool) and >= minimum."""
+    if not (_is_number(value) and (isinstance(value, int) or value.is_integer()) and value >= minimum):
+        raise ConfigError(f"invalid value for {key!r}: must be an integer >= {minimum}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     model: str
@@ -120,13 +131,11 @@ def parse_config(text: str) -> RunConfig:
         fail("estimator", "must be 'mlmc' or 'nmc'")
     eps = raw.get("eps")
     if not isinstance(eps, list) or not eps or not all(
-        isinstance(e, (int, float)) and e > 0 for e in eps
+        _is_number(e) and e > 0 for e in eps
     ):
         fail("eps", "must be a non-empty list of positive numbers")
     eps = tuple(sorted((float(e) for e in eps), reverse=True))
-    seed = raw.get("seed")
-    if not isinstance(seed, int) or seed < 0:
-        fail("seed", "must be a non-negative integer")
+    seed = _integer("seed", raw.get("seed"), 0)
     params = raw.get("model_params", {})
     if not isinstance(params, dict):
         fail("model_params", "must be an object")
@@ -137,30 +146,18 @@ def parse_config(text: str) -> RunConfig:
     if model == "pk" and "scheme" in params and params["scheme"] not in ("beta", "even", "geometric"):
         fail("model_params", "scheme must be 'beta', 'even' or 'geometric'")
 
-    omega = float(raw.get("omega", 0.25))
-    if not 0.0 < omega < 1.0:
-        fail("omega", "must lie in (0, 1)")
-    l0 = int(raw.get("L0", 2))
-    if l0 < 1:
-        fail("L0", "must be >= 1")
-    n_star = int(raw.get("N_star", 1000))
-    if n_star < 1:
-        fail("N_star", "must be >= 1")
-    m0 = int(raw.get("M0", 1))
-    if m0 < 1:
-        fail("M0", "must be >= 1")
-    l_max = int(raw.get("L_max", 20))
-    if l_max < l0:
-        fail("L_max", "must be >= L0")
+    omega = raw.get("omega", 0.25)
+    if not (_is_number(omega) and 0.0 < omega < 1.0):
+        fail("omega", "must be a number in (0, 1)")
+    l0 = _integer("L0", raw.get("L0", 2), 1)
+    n_star = _integer("N_star", raw.get("N_star", 1000), 1)
+    m0 = _integer("M0", raw.get("M0", 1), 1)
+    l_max = _integer("L_max", raw.get("L_max", 20), l0)
     is_enabled = raw.get("is_enabled", True)
     if not isinstance(is_enabled, bool):
         fail("is_enabled", "must be a boolean")
-    diagnostics_levels = int(raw.get("diagnostics_levels", 8))
-    if diagnostics_levels < 1:
-        fail("diagnostics_levels", "must be >= 1")
-    diagnostics_samples = int(raw.get("diagnostics_samples", 20000))
-    if diagnostics_samples < 2:
-        fail("diagnostics_samples", "must be >= 2")
+    diagnostics_levels = _integer("diagnostics_levels", raw.get("diagnostics_levels", 8), 1)
+    diagnostics_samples = _integer("diagnostics_samples", raw.get("diagnostics_samples", 20000), 2)
 
     return RunConfig(
         model=model,
@@ -168,7 +165,7 @@ def parse_config(text: str) -> RunConfig:
         eps=eps,
         seed=seed,
         model_params=params,
-        omega=omega,
+        omega=float(omega),
         l0=l0,
         n_star=n_star,
         m0=m0,
@@ -239,9 +236,9 @@ def run_rate_study(config: RunConfig, threads: int = 1) -> list[Path]:
     corr_means, corr_vars = [], []
     for level in range(config.diagnostics_levels + 1):
         m = est.inner_count(level)
-        pv = sample_p_values(model, m, 0, n, stream, use_is=config.is_enabled, threads=threads)
+        pv = sample_p_values(model, m, 0, n, stream, use_is=est.use_is, threads=threads)
         zv = sample_level_values(model, est, level, 0, n, stream, threads=threads)
-        cost = per_sample_cost(model, m, config.is_enabled)
+        cost = per_sample_cost(model, m, est.use_is)
         zs = stats_from_values(zv, cost, level)
         rows.append((
             level,
@@ -265,7 +262,7 @@ def run_rate_study(config: RunConfig, threads: int = 1) -> list[Path]:
         "model": config.model,
         "levels": config.diagnostics_levels,
         "samples": n,
-        "is_enabled": config.is_enabled,
+        "is_enabled": est.use_is,
     }
     summary_path = out / "rate_summary.json"
     _write_atomic(summary_path, json.dumps(summary, sort_keys=True) + "\n")
@@ -278,8 +275,7 @@ def _pilot_nmc_plan(model, est, config, eps, stream, threads):
     n_pilot = PILOT_SAMPLES
     means, variances = [], []
     for level in range(1, 5):
-        zv = sample_level_values(model, est, level, 0, n_pilot, stream,
-                                 use_is=config.is_enabled, threads=threads)
+        zv = sample_level_values(model, est, level, 0, n_pilot, stream, threads=threads)
         means.append(float(np.mean(zv)))
         variances.append(float(np.var(zv, ddof=1)))
     alpha_hat, _ = estimate_rates(means, variances)
@@ -291,7 +287,7 @@ def _pilot_nmc_plan(model, est, config, eps, stream, threads):
         level += 1
         predicted = abs(means[-1]) * 2.0 ** (-alpha_hat * (level - top))
     m = est.inner_count(level)
-    pv = sample_p_values(model, m, 0, n_pilot, stream, use_is=config.is_enabled, threads=threads)
+    pv = sample_p_values(model, m, 0, n_pilot, stream, use_is=est.use_is, threads=threads)
     var_pl = float(np.var(pv, ddof=1))
     n = max(2, math.ceil(var_pl / ((1.0 - config.omega) * eps * eps)))
     return level, n, var_pl, alpha_hat
@@ -317,10 +313,10 @@ def run_estimate(config: RunConfig, threads: int = 1) -> list[Path]:
             m_top = est.inner_count(top)
             pilot_stream = RandomStream(config.seed).child(3, i)
             pv = sample_p_values(model, m_top, 0, PILOT_SAMPLES, pilot_stream,
-                                 use_is=config.is_enabled, threads=threads)
+                                 use_is=est.use_is, threads=threads)
             nmc_cost = nmc_cost_model(
                 float(np.var(pv, ddof=1)),
-                per_sample_cost(model, m_top, config.is_enabled),
+                per_sample_cost(model, m_top, est.use_is),
                 eps, config.omega,
             )
             run_rows.append((eps, res.estimate, res.total_cost, top,
@@ -332,11 +328,11 @@ def run_estimate(config: RunConfig, threads: int = 1) -> list[Path]:
             level, n, var_pl, alpha_hat = _pilot_nmc_plan(model, est, config, eps, stream, threads)
             m = est.inner_count(level)
             estimate, _, cost = nmc_estimate(model, n, m, stream,
-                                             use_is=config.is_enabled, threads=threads)
-            nmc_cost = nmc_cost_model(var_pl, per_sample_cost(model, m, config.is_enabled),
+                                             use_is=est.use_is, threads=threads)
+            nmc_cost = nmc_cost_model(var_pl, per_sample_cost(model, m, est.use_is),
                                       eps, config.omega)
             run_rows.append((eps, estimate, cost, level, alpha_hat, math.nan, nmc_cost))
-            alloc_rows.append((eps, level, n, var_pl, per_sample_cost(model, m, config.is_enabled)))
+            alloc_rows.append((eps, level, n, var_pl, per_sample_cost(model, m, est.use_is)))
 
     runs_path = out / "runs.csv"
     alloc_path = out / "allocation.csv"
@@ -365,12 +361,12 @@ def main(argv: list[str] | None = None) -> int:
         return 4
     try:
         config = parse_config(text)
+        if args.seed is not None:
+            config = dataclasses.replace(config, seed=_integer("seed", args.seed, 0))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
     if args.output_dir is not None:
         config = dataclasses.replace(config, output_dir=args.output_dir)
     threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)

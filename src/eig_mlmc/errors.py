@@ -25,7 +25,7 @@ class InsufficientDataError(RuntimeError):
 class NonConvergenceError(RuntimeError):
     """The adaptive driver exceeded its level cap before passing the bias test.
 
-    ``trace`` holds the per-round allocation records accumulated so far.
+    ``trace`` holds the per-round allocation records collected so far.
     """
 
     def __init__(self, message: str, trace: list):

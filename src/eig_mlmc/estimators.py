@@ -23,23 +23,17 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import laplace
-from .bayes import BayesModel
+from .bayes import BayesModel, response_log_likelihood
 from .errors import EvaluationError, InnerUnderflowError
 from .streams import RandomStream
 
 __all__ = [
     "EstimatorConfig",
-    "LevelSample",
     "LevelStats",
-    "accumulate",
     "merge",
     "nmc_estimate",
-    "sample_level_zero",
-    "sample_correction",
-    "sample_plain_difference",
     "sample_level_values",
     "sample_p_values",
     "per_sample_cost",
@@ -68,15 +62,6 @@ class EstimatorConfig:
 
     def inner_count(self, level: int) -> int:
         return self.m0 << level
-
-
-@dataclass(frozen=True)
-class LevelSample:
-    """One realisation of a level variable with its evaluation cost."""
-
-    value: float
-    level: int
-    cost: float
 
 
 @dataclass(frozen=True)
@@ -116,22 +101,6 @@ class LevelStats:
     @property
     def cost_per_sample(self) -> float:
         return self.total_cost / self.count if self.count else math.nan
-
-
-def accumulate(stats: LevelStats, sample: LevelSample) -> LevelStats:
-    """Fold one sample into the bucket, returning the updated stats."""
-    if stats.level is not None and sample.level != stats.level:
-        raise ValueError(f"sample level {sample.level} does not match bucket {stats.level}")
-    v = sample.value
-    return LevelStats(
-        count=stats.count + 1,
-        sum1=stats.sum1 + v,
-        sum2=stats.sum2 + v * v,
-        sum3=stats.sum3 + v ** 3,
-        sum4=stats.sum4 + v ** 4,
-        total_cost=stats.total_cost + sample.cost,
-        level=stats.level if stats.level is not None else sample.level,
-    )
 
 
 def merge(a: LevelStats, b: LevelStats) -> LevelStats:
@@ -198,24 +167,8 @@ def _logmeanexp(logw: np.ndarray) -> np.ndarray:
 def _loglik_grid(model: BayesModel, thetas: np.ndarray, y: np.ndarray) -> np.ndarray:
     """log p(y_b | theta_bm) for thetas (n, m, d) against per-row data (n, D)."""
     n, m, d = thetas.shape
-    w = model.forward.out_dim
-    ne = model.replicates
-    g = model.forward.eval(thetas.reshape(n * m, d)).reshape(n, m, w)
-    resid = y.reshape(n, 1, ne, w) - g[:, :, None, :]
-    u = solve_triangular(model.noise.chol, resid.reshape(-1, w).T, lower=True)
-    with np.errstate(over="ignore"):  # an overflowing quad form means density zero
-        quad = np.sum(u * u, axis=0).reshape(n, m, ne).sum(axis=-1)
-    return ne * model.noise.log_norm_const - 0.5 * quad
-
-
-def _outer_loglik(model: BayesModel, g: np.ndarray, y: np.ndarray) -> np.ndarray:
-    n = g.shape[0]
-    w = model.forward.out_dim
-    ne = model.replicates
-    resid = y.reshape(n, ne, w) - g[:, None, :]
-    u = solve_triangular(model.noise.chol, resid.reshape(-1, w).T, lower=True)
-    quad = np.sum(u * u, axis=0).reshape(n, ne).sum(axis=-1)
-    return ne * model.noise.log_norm_const - 0.5 * quad
+    g = model.forward.eval(thetas.reshape(n * m, d)).reshape(n, m, model.forward.out_dim)
+    return response_log_likelihood(model, g, y)
 
 
 def _draw_outer(model: BayesModel, m: int, n: int, rng: np.random.Generator):
@@ -300,7 +253,6 @@ def _block_values(
     rng: np.random.Generator,
     use_is: bool,
     antithetic: bool,
-    base_index: int,
 ) -> np.ndarray:
     """Values of n outer samples drawn from one generator."""
     theta, g, y, z_inner = _draw_outer(model, m, n, rng)
@@ -310,13 +262,8 @@ def _block_values(
         half = m // 2
         log_a = _logmeanexp(logw[:, :half])
         log_b = _logmeanexp(logw[:, half:])
-        values = 0.5 * (log_a + log_b) - log_full
-    else:
-        values = _outer_loglik(model, g, y) - log_full
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        raise InnerUnderflowError(base_index + int(np.argmax(bad)))
-    return values
+        return 0.5 * (log_a + log_b) - log_full
+    return response_log_likelihood(model, g[:, None], y)[:, 0] - log_full
 
 
 def _span_values(
@@ -335,6 +282,8 @@ def _span_values(
 
     ``tag`` is the level for correction sampling and the inner count for
     plain sampling; together with ``purpose`` it pins the stream path.
+    Only the requested rows are checked, so an underflow reports the first
+    failing index of the span.
     """
     if count <= 0:
         return np.empty(0)
@@ -344,7 +293,7 @@ def _span_values(
 
     def one_block(b: int) -> np.ndarray:
         rng = stream.child(purpose, tag, b).generator()
-        vals = _block_values(model, m, rows, rng, use_is, antithetic, b * rows)
+        vals = _block_values(model, m, rows, rng, use_is, antithetic)
         lo = max(start, b * rows) - b * rows
         hi = min(start + count, (b + 1) * rows) - b * rows
         return vals[lo:hi]
@@ -355,7 +304,11 @@ def _span_values(
             parts = list(pool.map(one_block, blocks))
     else:
         parts = [one_block(b) for b in blocks]
-    return np.concatenate(parts)
+    values = np.concatenate(parts)
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        raise InnerUnderflowError(start + int(np.argmax(bad)))
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -370,19 +323,17 @@ def sample_level_values(
     start: int,
     count: int,
     stream: RandomStream,
-    use_is: bool | None = None,
     threads: int = 1,
 ) -> np.ndarray:
     """Batch of level-``level`` variable realisations for outer indices
     [start, start + count): the level-zero variable at level 0, antithetic
-    corrections at levels >= 1."""
+    corrections at levels >= 1.  ``config.use_is`` is the importance switch."""
     if level < 0:
         raise ValueError("level must be >= 0")
-    use_is = config.use_is if use_is is None else use_is
     m = config.inner_count(level)
     return _span_values(
         model, m, start, count, stream,
-        _PURPOSE_CORRECTION, level, use_is, antithetic=level >= 1, threads=threads,
+        _PURPOSE_CORRECTION, level, config.use_is, antithetic=level >= 1, threads=threads,
     )
 
 
@@ -402,63 +353,6 @@ def sample_p_values(
         model, m, start, count, stream,
         _PURPOSE_PLAIN, m, use_is, antithetic=False, threads=threads,
     )
-
-
-def sample_level_zero(
-    model: BayesModel,
-    config: EstimatorConfig,
-    stream: RandomStream,
-    use_is: bool | None = None,
-) -> LevelSample:
-    """One level-zero realisation drawn directly from ``stream``.
-
-    Draw order: prior normals, noise normals, inner normals, each as one
-    block, so the raw stream can be replayed independently.
-    """
-    use_is = config.use_is if use_is is None else use_is
-    value = _block_values(model, config.m0, 1, stream.generator(), use_is, False, 0)
-    return LevelSample(float(value[0]), 0, per_sample_cost(model, config.m0, use_is))
-
-
-def sample_correction(
-    model: BayesModel,
-    config: EstimatorConfig,
-    level: int,
-    stream: RandomStream,
-    use_is: bool | None = None,
-) -> LevelSample:
-    """One antithetic correction at ``level`` >= 1, drawn from ``stream``."""
-    if level < 1:
-        raise ValueError("correction level must be >= 1")
-    use_is = config.use_is if use_is is None else use_is
-    m = config.inner_count(level)
-    value = _block_values(model, m, 1, stream.generator(), use_is, True, 0)
-    return LevelSample(float(value[0]), level, per_sample_cost(model, m, use_is))
-
-
-def sample_plain_difference(
-    model: BayesModel,
-    config: EstimatorConfig,
-    level: int,
-    stream: RandomStream,
-    use_is: bool | None = None,
-) -> LevelSample:
-    """Test-oracle coupling: the plain fine-minus-coarse difference, where
-    the coarse term reuses the first half of the fine inner draws.
-
-    Same expectation as the antithetic correction but without its variance
-    decay; no driver uses it.
-    """
-    if level < 1:
-        raise ValueError("difference level must be >= 1")
-    use_is = config.use_is if use_is is None else use_is
-    m = config.inner_count(level)
-    theta, g, y, z_inner = _draw_outer(model, m, 1, stream.generator())
-    logw = _inner_logweights(model, theta, y, z_inner, use_is)
-    value = _logmeanexp(logw[:, : m // 2])[0] - _logmeanexp(logw)[0]
-    if not np.isfinite(value):
-        raise InnerUnderflowError(0)
-    return LevelSample(float(value), level, per_sample_cost(model, m, use_is))
 
 
 def nmc_estimate(

@@ -7,31 +7,21 @@ derivatives J = -grad g and H = -hess g; the sign cancels wherever J enters
 quadratically and is kept explicit in the linear terms.
 
 The fit is refreshed per outer sample and never shared across outer samples.
-A batched implementation backs the hot sampling paths; ``laplace_fit`` is the
-single-sample wrapper around it.
+``fit_batch`` fits a whole block of outer samples at once; a single sample is
+a batch of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .bayes import BayesModel, log_likelihood
+from .bayes import BayesModel
 from .errors import EvaluationError
-from .gaussian import GaussianDensity, safeguarded_cholesky
+from .gaussian import safeguarded_cholesky
 
-__all__ = ["GaussianIS", "laplace_fit", "log_is_weight", "LaplaceBatch", "fit_batch"]
+__all__ = ["LaplaceBatch", "fit_batch"]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
-
-
-@dataclass(frozen=True)
-class GaussianIS:
-    """Importance distribution N(theta_hat, Sigma_hat) for one outer sample."""
-
-    fit: GaussianDensity
 
 
 class LaplaceBatch:
@@ -140,22 +130,3 @@ def fit_batch(model: BayesModel, theta_star: np.ndarray, y: np.ndarray) -> Lapla
         chol_prec[failed] = prior_chol_prec
     return LaplaceBatch(theta_hat, chol_prec)
 
-
-def laplace_fit(model: BayesModel, theta_star: np.ndarray, y: np.ndarray) -> GaussianIS:
-    """Single-sample Laplace fit returning the explicit N(theta_hat, Sigma_hat)."""
-    theta_star = np.asarray(theta_star, dtype=float)
-    y = np.asarray(y, dtype=float)
-    batch = fit_batch(model, theta_star[None, :], y[None, :])
-    chol = batch.chol_prec[0]
-    inv_chol = solve_triangular(chol, np.eye(chol.shape[0]), lower=True)
-    cov = inv_chol.T @ inv_chol
-    return GaussianIS(fit=GaussianDensity(batch.theta_hat[0], 0.5 * (cov + cov.T)))
-
-
-def log_is_weight(model: BayesModel, is_dist: GaussianIS, theta: np.ndarray, y: np.ndarray) -> float | np.ndarray:
-    """log p(y | theta) + log p(theta) - log q(theta | y)."""
-    return (
-        log_likelihood(model, theta, y)
-        + model.prior.log_pdf(theta)
-        - is_dist.fit.log_pdf(theta)
-    )

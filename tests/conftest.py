@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from eig_mlmc import (
     BayesModel,
@@ -8,6 +9,8 @@ from eig_mlmc import (
     LinearGaussianSpec,
     make_linear_model,
 )
+from eig_mlmc.estimators import _block_values, _draw_outer, _inner_logweights, _logmeanexp
+from eig_mlmc.laplace import fit_batch
 
 # Closed-form expected information gains for the reference linear case.
 U_LINEAR_NE1 = 4.4574
@@ -72,3 +75,37 @@ def point_mass_model():
             Sigma_eps=0.5 * np.eye(2),
         )
     )
+
+
+# ---------------------------------------------------------------------------
+# Single-sample views of the batched code (a batch of one)
+# ---------------------------------------------------------------------------
+
+
+def one_value(model, m, stream, use_is, antithetic):
+    """One level value drawn directly from ``stream`` by the block sampler
+    with n = 1: the level-zero variable, or the antithetic correction."""
+    return float(_block_values(model, m, 1, stream.generator(), use_is, antithetic)[0])
+
+
+def plain_difference(model, config, level, stream):
+    """Oracle coupling: the plain fine-minus-coarse difference, where the
+    coarse term reuses the first half of the fine inner draws.  Same
+    expectation as the antithetic correction but without its variance decay."""
+    if level < 1:
+        raise ValueError("difference level must be >= 1")
+    m = config.inner_count(level)
+    theta, _, y, z_inner = _draw_outer(model, m, 1, stream.generator())
+    logw = _inner_logweights(model, theta, y, z_inner, config.use_is)
+    return float(_logmeanexp(logw[:, : m // 2])[0] - _logmeanexp(logw)[0])
+
+
+def laplace_density(model, theta_star, y):
+    """N(theta_hat, Sigma_hat) of one outer sample's Laplace fit: a batch of
+    one through ``fit_batch``, with the covariance rebuilt from the precision
+    factor by a triangular inverse and symmetrised."""
+    batch = fit_batch(model, np.asarray(theta_star, float)[None, :], np.asarray(y, float)[None, :])
+    chol = batch.chol_prec[0]
+    inv_chol = solve_triangular(chol, np.eye(chol.shape[0]), lower=True)
+    cov = inv_chol.T @ inv_chol
+    return GaussianDensity(batch.theta_hat[0], 0.5 * (cov + cov.T))

@@ -18,7 +18,6 @@ from eig_mlmc import (
     ForwardMap,
     LinearGaussianSpec,
     RandomStream,
-    laplace_fit,
     linear_gaussian_analytic_eig,
     make_linear_model,
     make_pk_model,
@@ -33,7 +32,7 @@ from eig_mlmc.cli import main, parse_config
 from eig_mlmc.estimators import _draw_outer, _inner_logweights, per_sample_cost
 from eig_mlmc.models import PkSpec, sampling_schedule
 
-from conftest import U_LINEAR_NE1, U_LINEAR_NE10
+from conftest import U_LINEAR_NE1, U_LINEAR_NE10, laplace_density
 from test_models import gauss_hermite_eig_1d
 
 EPS = 5e-3
@@ -58,6 +57,7 @@ def _seeded_runs(n_e: int, target: float, n_runs: int = 20):
     return hits, max(errs)
 
 
+@pytest.mark.slow
 def test_criterion_1_linear_ne1_value():
     hits, worst = _seeded_runs(1, U_LINEAR_NE1)
     report(
@@ -67,6 +67,7 @@ def test_criterion_1_linear_ne1_value():
     )
 
 
+@pytest.mark.slow
 def test_criterion_2_linear_ne10_value():
     hits, worst = _seeded_runs(10, U_LINEAR_NE10)
     report(
@@ -90,6 +91,7 @@ def _rate_summary(tmp_path, name, **cfg_extra):
     return summary["alpha_hat"], summary["beta_hat"]
 
 
+@pytest.mark.slow
 def test_criterion_3_rate_recovery(tmp_path):
     a1, b1 = _rate_summary(tmp_path, "ne1", model_params={"N_e": 1})
     a10, b10 = _rate_summary(tmp_path, "ne10", model_params={"N_e": 10})
@@ -102,6 +104,7 @@ def test_criterion_3_rate_recovery(tmp_path):
     )
 
 
+@pytest.mark.slow
 def test_criterion_4_cost_slopes():
     # Two variance-control choices for a stable slope estimate at desk scale:
     # new levels are seeded with 200 samples (the N_* = 1000 pilot floor
@@ -140,6 +143,7 @@ def test_criterion_4_cost_slopes():
 PK_TARGETS = {"beta": 10.63, "even": 10.21, "geometric": 10.74}
 
 
+@pytest.mark.slow
 def test_criterion_5_pk_table():
     estimates = {}
     rates = {}
@@ -213,8 +217,8 @@ def test_criterion_6b_corrections_non_positive():
         for use_is in (False, True):
             for level in range(1, 7):
                 v = sample_level_values(
-                    model, IS_CFG, level, 0, 2000, RandomStream(61),
-                    use_is=use_is, threads=THREADS,
+                    model, EstimatorConfig(m0=1, use_is=use_is), level, 0, 2000, RandomStream(61),
+                    threads=THREADS,
                 )
                 worst = max(worst, float(np.max(v)))
                 total += v.size
@@ -252,7 +256,7 @@ def test_criterion_6d_laplace_exact_on_linear():
     worst = 0.0
     for seed in range(5):
         y = sample_data(model, spec.mu_theta, RandomStream(64).child(seed))
-        fit = laplace_fit(model, spec.mu_theta, y)
+        fit = laplace_density(model, spec.mu_theta, y)
         se_inv = np.linalg.inv(spec.Sigma_eps)
         st_inv = np.linalg.inv(spec.Sigma_theta)
         prec = spec.A.T @ se_inv @ spec.A + st_inv
@@ -260,8 +264,8 @@ def test_criterion_6d_laplace_exact_on_linear():
         cov = np.linalg.inv(prec)
         worst = max(
             worst,
-            float(np.max(np.abs(fit.fit.mean - mean))),
-            float(np.max(np.abs(fit.fit.cov - cov))),
+            float(np.max(np.abs(fit.mean - mean))),
+            float(np.max(np.abs(fit.cov - cov))),
         )
     report("6d (laplace exactness)", worst <= 1e-10, f"worst deviation {worst:.2e} <= 1e-10")
 
@@ -307,6 +311,7 @@ def test_criterion_6f_sign_flip_invariance():
     )
 
 
+@pytest.mark.slow
 def test_criterion_6g_no_underflow_in_million_pk_samples():
     model = make_pk_model(PkSpec())
     v = sample_level_values(model, IS_CFG, 0, 0, 1_000_000, RandomStream(68), threads=THREADS)

@@ -237,3 +237,18 @@ def test_byte_identical_across_thread_counts(tmp_path, capsys):
     assert outs[("estimate", 1)] == outs[("estimate", 8)]
     assert outs[("rate-study", 1)] == outs[("rate-study", 8)]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("extra, argv", [
+    ({"L0": "two"}, []),
+    ({"omega": None}, []),
+    ({"diagnostics_samples": 2.9}, []),
+    ({"N_star": True}, []),
+    ({"seed": True}, []),
+    ({}, ["--seed", "-3"]),
+], ids=["L0-string", "omega-null", "samples-fraction", "N_star-bool", "seed-bool", "seed-override-negative"])
+def test_main_malformed_number_exit_2(tmp_path, capsys, extra, argv):
+    cfgfile = write_cfg(tmp_path, minimal(eps=[0.05], output_dir=str(tmp_path / "out"), **extra))
+    assert main(["--config", cfgfile] + argv) == 2
+    assert "invalid value for" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -8,19 +8,14 @@ from hypothesis import strategies as st
 from eig_mlmc import (
     EstimatorConfig,
     InnerUnderflowError,
-    LevelSample,
     LevelStats,
     LinearGaussianSpec,
     RandomStream,
-    accumulate,
     make_linear_model,
     merge,
     nmc_estimate,
-    sample_correction,
     sample_level_values,
-    sample_level_zero,
     sample_p_values,
-    sample_plain_difference,
 )
 from eig_mlmc.bayes import log_likelihood
 from eig_mlmc.estimators import (
@@ -31,7 +26,7 @@ from eig_mlmc.estimators import (
     stats_from_values,
 )
 
-from conftest import constant_model, point_mass_model
+from conftest import one_value, plain_difference, point_mass_model
 
 NO_IS = EstimatorConfig(m0=1, use_is=False)
 WITH_IS = EstimatorConfig(m0=1, use_is=True)
@@ -43,18 +38,22 @@ WITH_IS = EstimatorConfig(m0=1, use_is=True)
 
 
 def test_constant_map_level_zero_is_exactly_zero(const_model):
+    cost = per_sample_cost(const_model, NO_IS.inner_count(0), NO_IS.use_is)
     for seed in range(5):
-        s = sample_level_zero(const_model, NO_IS, RandomStream(seed), use_is=False)
-        assert s.value == 0.0
-        assert s.level == 0
-        assert s.cost == 2.0
+        assert one_value(const_model, 1, RandomStream(seed), False, antithetic=False) == 0.0
+        values = sample_level_values(const_model, NO_IS, 0, 0, 1, RandomStream(seed))
+        stats = stats_from_values(values, cost, level=0)
+        assert stats.mean == 0.0
+        assert stats.level == 0
+        assert stats.total_cost == 2.0
 
 
 def test_constant_map_corrections_exactly_zero(const_model):
     for level in (1, 2, 3):
-        s = sample_correction(const_model, NO_IS, level, RandomStream(3), use_is=False)
-        assert s.value == 0.0
-        assert s.cost == 2 ** level + 1
+        m = NO_IS.inner_count(level)
+        assert one_value(const_model, m, RandomStream(3), False, antithetic=True) == 0.0
+        assert sample_level_values(const_model, NO_IS, level, 0, 1, RandomStream(3))[0] == 0.0
+        assert per_sample_cost(const_model, m, NO_IS.use_is) == 2 ** level + 1
 
 
 def test_constant_map_nmc_exactly_zero(const_model):
@@ -66,21 +65,20 @@ def test_constant_map_nmc_exactly_zero(const_model):
 
 def test_point_mass_prior_level_zero_near_zero():
     model = point_mass_model()
-    s = sample_level_zero(model, NO_IS, RandomStream(7), use_is=False)
-    assert abs(s.value) <= 1e-6
+    assert abs(one_value(model, 1, RandomStream(7), False, antithetic=False)) <= 1e-6
 
 
 def test_point_mass_prior_correction_within_roundoff():
     model = point_mass_model()
     for level in (1, 2):
-        s = sample_correction(model, NO_IS, level, RandomStream(8), use_is=False)
-        assert abs(s.value) <= 1e-12
+        value = one_value(model, NO_IS.inner_count(level), RandomStream(8), False, antithetic=True)
+        assert abs(value) <= 1e-12
 
 
 def test_level_zero_replay_oracle(linear_spec, linear_model):
     # Replay the stream by hand for M0 = 1 without importance sampling.
     stream = RandomStream(123).child(9)
-    s = sample_level_zero(linear_model, NO_IS, stream, use_is=False)
+    value = one_value(linear_model, 1, stream, False, antithetic=False)
 
     rng = stream.generator()
     chol_theta = np.linalg.cholesky(linear_spec.Sigma_theta)
@@ -97,15 +95,13 @@ def test_level_zero_replay_oracle(linear_spec, linear_model):
         ) - 0.5 * quad
 
     expected = dense_loglik(theta) - dense_loglik(theta_inner)
-    assert s.value == pytest.approx(expected, abs=1e-10)
+    assert value == pytest.approx(expected, abs=1e-10)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 10_000), level=st.integers(1, 5), use_is=st.booleans())
 def test_corrections_non_positive(linear_model, seed, level, use_is):
-    cfg = WITH_IS if use_is else NO_IS
-    s = sample_correction(linear_model, cfg, level, RandomStream(seed))
-    assert s.value <= 1e-12
+    assert one_value(linear_model, 2 ** level, RandomStream(seed), use_is, antithetic=True) <= 1e-12
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
@@ -128,8 +124,8 @@ def test_antithetic_identity_on_drawn_weights(linear_model, seed, level, use_is)
         0.5 * (_logmeanexp(np.array([logw[: m // 2]]))[0] + _logmeanexp(np.array([logw[m // 2:]]))[0])
         - _logmeanexp(np.array([logw]))[0]
     )
-    s = sample_correction(linear_model, EstimatorConfig(m0=1, use_is=use_is), level, RandomStream(seed))
-    assert s.value == pytest.approx(expected, abs=1e-12)
+    value = one_value(linear_model, m, RandomStream(seed), use_is, antithetic=True)
+    assert value == pytest.approx(expected, abs=1e-12)
 
 
 def test_halves_partition_in_stream_order(linear_model):
@@ -154,15 +150,14 @@ def test_plain_difference_shares_expectation_with_antithetic(linear_model):
     anti = sample_level_values(linear_model, WITH_IS, level, 0, n, RandomStream(70))
     base = RandomStream(71)
     plain = np.array([
-        sample_plain_difference(linear_model, WITH_IS, level, base.child(i)).value
-        for i in range(n)
+        plain_difference(linear_model, WITH_IS, level, base.child(i)) for i in range(n)
     ])
     se = math.hypot(np.std(anti, ddof=1), np.std(plain, ddof=1)) / math.sqrt(n)
     assert abs(np.mean(anti) - np.mean(plain)) <= 3 * se
     # the plain coupling is not sign-constrained, unlike the antithetic one
     assert np.max(plain) > 0
     with pytest.raises(ValueError):
-        sample_plain_difference(linear_model, WITH_IS, 0, RandomStream(0))
+        plain_difference(linear_model, WITH_IS, 0, RandomStream(0))
 
 
 def test_importance_sampling_with_fd_derivatives(oned_spec):
@@ -217,13 +212,25 @@ def test_underflow_error_names_outer_index():
     assert str(err.value.outer_index) in str(err.value)
 
 
+def test_span_fails_only_on_rows_it_returns():
+    # Row 2177 of the first block underflows; a span that does not reach it
+    # succeeds, and a span that does reports exactly that index.
+    spec = LinearGaussianSpec(A=[[1.0]], mu_theta=[0.0], Sigma_theta=[[8.2e6]], Sigma_eps=[[1e-300]])
+    model = make_linear_model(spec)
+    head = sample_p_values(model, 1, 0, 10, RandomStream(0))
+    assert np.all(np.isfinite(head))
+    with pytest.raises(InnerUnderflowError) as err:
+        sample_p_values(model, 1, 2000, 500, RandomStream(0))
+    assert err.value.outer_index == 2177
+
+
 # ---------------------------------------------------------------------------
 # Streaming statistics
 # ---------------------------------------------------------------------------
 
 
 def test_accumulate_single_sample():
-    s = accumulate(LevelStats(), LevelSample(value=2.5, level=0, cost=3.0))
+    s = merge(LevelStats(), stats_from_values(np.array([2.5]), 3.0, level=0))
     assert s.count == 1
     assert s.mean == 2.5
     assert s.total_cost == 3.0
@@ -233,7 +240,7 @@ def test_accumulate_single_sample():
 def test_accumulate_level_mismatch():
     s = LevelStats(level=1)
     with pytest.raises(ValueError):
-        accumulate(s, LevelSample(value=0.0, level=2, cost=1.0))
+        merge(s, stats_from_values(np.zeros(1), 1.0, level=2))
 
 
 def test_merge_counts():
@@ -248,7 +255,7 @@ def test_known_distribution_sanity():
     rng = RandomStream(99).generator()
     stats = LevelStats()
     for v in rng.standard_normal(1000):
-        stats = accumulate(stats, LevelSample(value=float(v), level=0, cost=1.0))
+        stats = merge(stats, stats_from_values(np.array([v]), 1.0, level=0))
     assert abs(stats.mean) <= 0.1
     assert abs(stats.variance - 1.0) <= 0.15
     assert abs(stats.kurtosis - 3.0) <= 0.8
@@ -309,7 +316,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         EstimatorConfig(m0=0)
     with pytest.raises(ValueError):
-        sample_correction(None, NO_IS, 0, RandomStream(0))
+        sample_level_values(None, NO_IS, -1, 0, 1, RandomStream(0))
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +338,8 @@ def test_span_split_and_threads_do_not_change_values(linear_model):
 
 def test_levels_use_distinct_streams(linear_model):
     s = RandomStream(1)
-    v1 = sample_level_values(linear_model, NO_IS, 1, 0, 100, s, use_is=False)
-    v2 = sample_level_values(linear_model, NO_IS, 2, 0, 100, s, use_is=False)
+    v1 = sample_level_values(linear_model, NO_IS, 1, 0, 100, s)
+    v2 = sample_level_values(linear_model, NO_IS, 2, 0, 100, s)
     p1 = sample_p_values(linear_model, 2, 0, 100, s, use_is=False)
     assert not np.array_equal(v1, v2)
     assert not np.array_equal(v1, p1)
@@ -344,6 +351,7 @@ def test_nmc_estimate_one_d_target(oned_model):
     assert abs(est - 0.5 * math.log(2.0)) <= 3 * se + 5e-3  # small O(1/M) bias headroom
 
 
+@pytest.mark.slow
 def test_nmc_reference_case(linear_model):
     # Reference-protocol run: importance sampling stays on, since without it
     # the inner weights for this model are so degenerate that the inner
@@ -355,6 +363,7 @@ def test_nmc_reference_case(linear_model):
     assert abs(est - 4.4574) <= 0.05
 
 
+@pytest.mark.slow
 def test_is_invariance_of_estimated_target(oned_model):
     # The change of measure preserves the estimand: telescoped estimates with
     # and without the importance correction converge to the same value.  The
@@ -365,8 +374,8 @@ def test_is_invariance_of_estimated_target(oned_model):
     levels = 9
     total_a = total_b = var_a = var_b = 0.0
     for level in range(levels + 1):
-        a = sample_level_values(oned_model, NO_IS, level, 0, n, RandomStream(50), use_is=False)
-        b = sample_level_values(oned_model, WITH_IS, level, 0, n, RandomStream(51), use_is=True)
+        a = sample_level_values(oned_model, NO_IS, level, 0, n, RandomStream(50))
+        b = sample_level_values(oned_model, WITH_IS, level, 0, n, RandomStream(51))
         total_a += np.mean(a)
         total_b += np.mean(b)
         var_a += np.var(a, ddof=1) / n

@@ -8,18 +8,18 @@ from eig_mlmc import (
     BayesModel,
     ForwardMap,
     GaussianDensity,
-    GaussianIS,
     LinearGaussianSpec,
     RandomStream,
-    laplace_fit,
-    log_is_weight,
     log_likelihood,
     make_linear_model,
     make_pk_model,
     sample_data,
 )
+from eig_mlmc.estimators import _inner_logweights
 from eig_mlmc.laplace import _chol_batch, fit_batch
 from eig_mlmc.models import PkSpec
+
+from conftest import laplace_density
 
 
 def exact_linear_posterior(spec, y):
@@ -34,44 +34,46 @@ def exact_linear_posterior(spec, y):
 
 def test_linear_fit_equals_exact_posterior(linear_spec, linear_model):
     y = sample_data(linear_model, linear_spec.mu_theta, RandomStream(4))
-    fit = laplace_fit(linear_model, linear_spec.mu_theta, y)
+    fit = laplace_density(linear_model, linear_spec.mu_theta, y)
     mean, cov = exact_linear_posterior(linear_spec, y)
-    assert np.max(np.abs(fit.fit.mean - mean)) <= 1e-10
-    assert np.max(np.abs(fit.fit.cov - cov)) <= 1e-10
+    assert np.max(np.abs(fit.mean - mean)) <= 1e-10
+    assert np.max(np.abs(fit.cov - cov)) <= 1e-10
 
 
 def test_linear_fit_with_replicates():
     spec = LinearGaussianSpec(n_e=4)
     model = make_linear_model(spec)
     y = sample_data(model, spec.mu_theta, RandomStream(14))
-    fit = laplace_fit(model, spec.mu_theta, y)
+    fit = laplace_density(model, spec.mu_theta, y)
     mean, cov = exact_linear_posterior(spec, y)
-    assert np.max(np.abs(fit.fit.mean - mean)) <= 1e-10
-    assert np.max(np.abs(fit.fit.cov - cov)) <= 1e-10
+    assert np.max(np.abs(fit.mean - mean)) <= 1e-10
+    assert np.max(np.abs(fit.cov - cov)) <= 1e-10
 
 
 def test_constant_map_returns_prior():
     spec = LinearGaussianSpec(A=np.zeros((3, 2)))
     model = make_linear_model(spec)
     y = np.array([0.1, -0.2, 0.3])
-    fit = laplace_fit(model, spec.mu_theta, y)
-    assert np.allclose(fit.fit.mean, spec.mu_theta, atol=1e-12)
-    assert np.allclose(fit.fit.cov, spec.Sigma_theta, rtol=1e-10)
+    fit = laplace_density(model, spec.mu_theta, y)
+    assert np.allclose(fit.mean, spec.mu_theta, atol=1e-12)
+    assert np.allclose(fit.cov, spec.Sigma_theta, rtol=1e-10)
 
 
 def test_log_is_weight_against_prior_proposal(linear_spec, linear_model):
-    # With q equal to the prior the weight reduces to the log likelihood.
-    q = GaussianIS(fit=GaussianDensity(linear_spec.mu_theta, linear_spec.Sigma_theta))
+    # With q equal to the prior the weight reduces to the log likelihood:
+    # the prior-proposal inner weight at the point the normals map to.
     theta = np.array([0.7, -0.3])
     y = np.array([1.0, 2.0, 2.5])
-    w = log_is_weight(linear_model, q, theta, y)
+    prior = linear_model.prior
+    z = np.linalg.solve(prior.chol, theta - prior.mean)
+    w = _inner_logweights(linear_model, theta[None], y[None], z[None, None], use_is=False)[0, 0]
     assert w == pytest.approx(log_likelihood(linear_model, theta, y), rel=1e-13)
 
 
 def test_log_is_weight_composes_three_densities(linear_spec, linear_model):
     y = sample_data(linear_model, linear_spec.mu_theta, RandomStream(6))
-    fit = laplace_fit(linear_model, linear_spec.mu_theta, y)
-    theta = fit.fit.mean
+    fit = laplace_density(linear_model, linear_spec.mu_theta, y)
+    theta = fit.mean
 
     def gauss_logpdf(x, mean, cov):
         v = np.atleast_1d(x - mean)
@@ -82,21 +84,25 @@ def test_log_is_weight_composes_three_densities(linear_spec, linear_model):
     oracle = (
         gauss_logpdf(y, linear_spec.A @ theta, linear_spec.Sigma_eps)
         + gauss_logpdf(theta, linear_spec.mu_theta, linear_spec.Sigma_theta)
-        - gauss_logpdf(theta, fit.fit.mean, fit.fit.cov)
+        - gauss_logpdf(theta, fit.mean, fit.cov)
     )
-    assert log_is_weight(linear_model, fit, theta, y) == pytest.approx(oracle, rel=1e-10)
+    # zero normals draw the fit's own mean
+    w = _inner_logweights(
+        linear_model, linear_spec.mu_theta[None], y[None], np.zeros((1, 1, 2)), use_is=True,
+    )[0, 0]
+    assert w == pytest.approx(oracle, rel=1e-10)
 
 
 def test_weight_expectation_recovers_evidence(oned_spec, oned_model):
     theta_star = np.array([0.6])
     y = sample_data(oned_model, theta_star, RandomStream(8))
-    fit = laplace_fit(oned_model, theta_star, y)
+    fit = laplace_density(oned_model, theta_star, y)
     rng = RandomStream(9).generator()
-    thetas = fit.fit.sample(rng, size=100_000)
+    thetas = fit.sample(rng, size=100_000)
     logw = (
         log_likelihood(oned_model, thetas, y)
         + oned_model.prior.log_pdf(thetas)
-        - fit.fit.log_pdf(thetas)
+        - fit.log_pdf(thetas)
     )
     w = np.exp(logw)
     evidence = math.exp(
@@ -111,13 +117,13 @@ def test_pk_fit_lands_in_posterior_bulk():
     model = make_pk_model(spec)
     theta_star = model.prior.mean.copy()
     y = sample_data(model, theta_star, RandomStream(11))
-    fit = laplace_fit(model, theta_star, y)
-    assert np.all(np.linalg.eigvalsh(fit.fit.cov) > 0.0)
+    fit = laplace_density(model, theta_star, y)
+    assert np.all(np.linalg.eigvalsh(fit.cov) > 0.0)
 
     def log_post(x):
         return log_likelihood(model, x, y) + model.prior.log_pdf(x)
 
-    assert log_post(fit.fit.mean) >= log_post(theta_star) - 10.0
+    assert log_post(fit.mean) >= log_post(theta_star) - 10.0
 
     # Dense lattice over +-4 prior sd in each log parameter: the fitted mean
     # should not be beaten by any grid point by more than a hair.
@@ -125,9 +131,9 @@ def test_pk_fit_lands_in_posterior_bulk():
     axes = [np.linspace(m - 4 * sd, m + 4 * sd, 25) for m in theta_star]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
     vals = log_likelihood(model, grid, y) + model.prior.log_pdf(grid)
-    assert log_post(fit.fit.mean) >= np.max(vals) - 0.5
+    assert log_post(fit.mean) >= np.max(vals) - 0.5
     # and the fit's mean is close to the lattice argmax
-    assert np.max(np.abs(grid[np.argmax(vals)] - fit.fit.mean)) <= 2 * (8 * sd / 24)
+    assert np.max(np.abs(grid[np.argmax(vals)] - fit.mean)) <= 2 * (8 * sd / 24)
 
 
 def test_chol_batch_fallback_rows():
@@ -153,7 +159,7 @@ def test_non_finite_derivatives_raise(linear_spec):
     fwd = ForwardMap(fn=model.forward.fn, out_dim=3, jac=bad_jac, hess=model.forward.hess)
     broken = BayesModel(prior=model.prior, forward=fwd, noise=model.noise)
     with pytest.raises(EvaluationError):
-        laplace_fit(broken, linear_spec.mu_theta, np.zeros(3))
+        fit_batch(broken, linear_spec.mu_theta[None], np.zeros((1, 3)))
 
 
 def test_fit_batch_matches_single(linear_spec, linear_model):
@@ -164,7 +170,35 @@ def test_fit_batch_matches_single(linear_spec, linear_model):
     ])
     batch = fit_batch(linear_model, thetas, ys)
     for i in range(5):
-        single = laplace_fit(linear_model, thetas[i], ys[i])
-        assert np.allclose(batch.theta_hat[i], single.fit.mean, rtol=1e-12)
+        single = laplace_density(linear_model, thetas[i], ys[i])
+        assert np.allclose(batch.theta_hat[i], single.mean, rtol=1e-12)
         prec = batch.chol_prec[i] @ batch.chol_prec[i].T
-        assert np.allclose(np.linalg.inv(prec), single.fit.cov, rtol=1e-10)
+        assert np.allclose(np.linalg.inv(prec), single.cov, rtol=1e-10)
+
+
+def test_negative_curvature_row_falls_back_to_prior():
+    # g(theta) = theta^2 with prior N(0, 1) and noise variance 0.01, fitted at
+    # theta* = 0.5.  For y = 100 the Newton curvature is 100 - 19950 + 1 < 0,
+    # so that row silently reverts to the prior; the y = 0.3 row takes the
+    # Newton step with curvature 91 and right-hand side -5.
+    model = BayesModel(
+        prior=GaussianDensity(np.zeros(1), np.eye(1)),
+        forward=ForwardMap(
+            fn=lambda t: t ** 2,
+            out_dim=1,
+            jac=lambda t: 2.0 * t[..., None],
+            hess=lambda t: np.full(t.shape[:-1] + (1, 1, 1), 2.0),
+        ),
+        noise=GaussianDensity(np.zeros(1), 0.01 * np.eye(1)),
+    )
+    theta_star = np.array([[0.5], [0.5]])
+    fits = fit_batch(model, theta_star, np.array([[0.3], [100.0]]))
+    assert fits.theta_hat[1, 0] == 0.5
+    assert np.array_equal(fits.chol_prec[1], np.linalg.cholesky(model.prior.precision))
+
+    alone = fit_batch(model, theta_star[:1], np.array([[0.3]]))
+    assert np.allclose(fits.theta_hat[0], alone.theta_hat[0], rtol=1e-14)
+    assert np.allclose(fits.chol_prec[0], alone.chol_prec[0], rtol=1e-14)
+    theta_hat = 0.5 + 5.0 / 91.0
+    assert fits.theta_hat[0, 0] == pytest.approx(theta_hat, rel=1e-12)
+    assert fits.chol_prec[0, 0, 0] == pytest.approx(math.sqrt(400.0 * theta_hat ** 2 + 1.0), rel=1e-12)
