@@ -40,9 +40,10 @@ class ForwardMap:
     ``fn`` must be vectorised over a leading batch axis: it maps (d,) -> (w,)
     and (n, d) -> (n, w).  ``jac`` and ``hess`` are optional analytic
     derivatives of g (plain derivatives, no sign convention applied), with the
-    same batch behaviour, returning (..., w, d) and (..., w, d, d).  When
-    absent, finite differences are used.  ``cost_units`` is the bookkeeping
-    price of one evaluation.
+    same batch behaviour, returning (..., w, d) and (..., w, d, d).  Without
+    them, :func:`fd_jacobian` and :func:`fd_hessian` difference a whole batch
+    at once and return NaN for a row whose stencil meets a non-finite value.
+    ``cost_units`` is the bookkeeping price of one evaluation.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -55,20 +56,10 @@ class ForwardMap:
         return self.fn(np.asarray(theta, dtype=float))
 
     def jacobian(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        if self.jac is not None:
-            return self.jac(theta)
-        if theta.ndim == 1:
-            return fd_jacobian(self, theta)
-        return np.stack([fd_jacobian(self, t) for t in theta])
+        return fd_jacobian(self, theta) if self.jac is None else self.jac(np.asarray(theta, dtype=float))
 
     def hessian(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        if self.hess is not None:
-            return self.hess(theta)
-        if theta.ndim == 1:
-            return fd_hessian(self, theta)
-        return np.stack([fd_hessian(self, t) for t in theta])
+        return fd_hessian(self, theta) if self.hess is None else self.hess(np.asarray(theta, dtype=float))
 
     @property
     def has_analytic_derivatives(self) -> bool:
@@ -155,52 +146,61 @@ def sample_data(model: BayesModel, theta: np.ndarray, stream: RandomStream | np.
     return (g[None, :] + eps).reshape(-1)
 
 
-def _eval_checked(forward: ForwardMap, pts: np.ndarray) -> np.ndarray:
-    vals = forward.eval(pts)
-    if not np.all(np.isfinite(vals)):
+def _fd_eval(forward: ForwardMap, pts: np.ndarray, bad: np.ndarray) -> np.ndarray:
+    """g at stencil points (n, k, d) as (n, k, w); rows meeting a non-finite
+    value are flagged in ``bad`` and come back as NaN."""
+    n, k, d = pts.shape
+    vals = forward.eval(pts.reshape(n * k, d)).reshape(n, k, -1)
+    row_bad = ~np.all(np.isfinite(vals), axis=(1, 2))
+    bad |= row_bad
+    return np.where(row_bad[:, None, None], np.nan, vals) if np.any(row_bad) else vals
+
+
+def _central_differences(forward: ForwardMap, theta: np.ndarray, order: int) -> np.ndarray:
+    """The stencil of fd_jacobian (order 1) or fd_hessian (order 2)."""
+    theta = np.asarray(theta, dtype=float)
+    x = np.atleast_2d(theta)
+    n, d = x.shape
+    bad = np.zeros(n, dtype=bool)
+    h = (_FD_STEP_JAC if order == 1 else _FD_STEP_HESS) * np.maximum(1.0, np.abs(x))
+    e = h[:, :, None] * np.eye(d)                        # row i is h_i e_i
+    vals = _fd_eval(forward, x[:, None, :] + np.concatenate([e, -e], axis=1), bad)
+    if order == 1:
+        # a strided view, not a copy: einsum in fit_batch rounds differently on a C-ordered copy
+        out = np.swapaxes((vals[:, :d] - vals[:, d:]) / (2.0 * h[:, :, None]), 1, 2)
+    else:
+        f0 = _fd_eval(forward, x[:, None, :], bad)
+        out = np.empty((n, forward.out_dim, d, d))
+        # float_power is the C pow() that h_i ** 2 on a scalar calls; h ** 2 is h * h
+        diag = (vals[:, :d] - 2.0 * f0 + vals[:, d:]) / np.float_power(h, 2)[:, :, None]
+        out[:, :, np.arange(d), np.arange(d)] = np.swapaxes(diag, 1, 2)
+        for i, j in zip(*np.triu_indices(d, 1)):
+            ei, ej = e[:, i:i + 1], e[:, j:j + 1]
+            pts = x[:, None, :] + np.concatenate([ei + ej, ei - ej, -ei + ej, -ei - ej], axis=1)
+            fpp, fpm, fmp, fmm = np.moveaxis(_fd_eval(forward, pts, bad), 1, 0)
+            hij = (fpp - fpm - fmp + fmm) / (4.0 * h[:, i:i + 1] * h[:, j:j + 1])
+            out[:, :, i, j] = out[:, :, j, i] = hij
+    out[bad] = np.nan
+    if theta.ndim == 1 and bad[0]:
         raise EvaluationError("forward map returned a non-finite value")
-    return vals
+    return out if theta.ndim == 2 else out[0]
 
 
 def fd_jacobian(forward: ForwardMap, theta: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian of g, shape (w, d).
-
-    Per-coordinate step h_i = c * max(1, |theta_i|) with c = eps^(1/3).
+    """Central-difference Jacobian of g: (w, d) at a point (d,), (n, w, d) for
+    a batch (n, d).  Steps h_i = c * max(1, |theta_i|) with c = eps^(1/3); the
+    2d points of every row go through one forward evaluation.  A batch row
+    whose stencil meets a non-finite value is all NaN; a single point raises
+    :class:`EvaluationError` instead.
     """
-    theta = np.asarray(theta, dtype=float)
-    d = theta.size
-    h = _FD_STEP_JAC * np.maximum(1.0, np.abs(theta))
-    pts = np.concatenate([theta + np.diag(h), theta - np.diag(h)], axis=0)
-    vals = _eval_checked(forward, pts)
-    return ((vals[:d] - vals[d:]) / (2.0 * h[:, None])).T
+    return _central_differences(forward, theta, order=1)
 
 
 def fd_hessian(forward: ForwardMap, theta: np.ndarray) -> np.ndarray:
-    """Central-difference Hessian tensor of g, shape (w, d, d), symmetrised.
-
-    Per-coordinate step h_i = c * max(1, |theta_i|) with c = eps^(1/4).
+    """Central-difference Hessian tensor of g: (w, d, d) at a point (d,),
+    (n, w, d, d) for a batch (n, d).  Steps as in :func:`fd_jacobian` with
+    c = eps^(1/4).  Each group of a row's 2d^2 + 1 points goes through one
+    evaluation: the 2d diagonal points, the centre, and the four corners of
+    each pair i < j.  Non-finite rows as in :func:`fd_jacobian`.
     """
-    theta = np.asarray(theta, dtype=float)
-    d = theta.size
-    w = forward.out_dim
-    h = _FD_STEP_HESS * np.maximum(1.0, np.abs(theta))
-    f0 = _eval_checked(forward, theta)
-
-    hess = np.empty((w, d, d))
-    diag_pts = np.concatenate([theta + np.diag(h), theta - np.diag(h)], axis=0)
-    diag_vals = _eval_checked(forward, diag_pts)
-    for i in range(d):
-        hess[:, i, i] = (diag_vals[i] - 2.0 * f0 + diag_vals[d + i]) / h[i] ** 2
-
-    for i in range(d):
-        for j in range(i + 1, d):
-            ei = np.zeros(d)
-            ej = np.zeros(d)
-            ei[i] = h[i]
-            ej[j] = h[j]
-            pts = np.stack([theta + ei + ej, theta + ei - ej, theta - ei + ej, theta - ei - ej])
-            fpp, fpm, fmp, fmm = _eval_checked(forward, pts)
-            val = (fpp - fpm - fmp + fmm) / (4.0 * h[i] * h[j])
-            hess[:, i, j] = val
-            hess[:, j, i] = val
-    return hess
+    return _central_differences(forward, theta, order=2)

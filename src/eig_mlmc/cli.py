@@ -69,6 +69,48 @@ def _integer(key: str, value, minimum: int) -> int:
     return int(value)
 
 
+def _numeric_array(key: str, value) -> np.ndarray:
+    """``value`` as a float array when it is a number or a nested list of
+    finite numbers with a regular shape."""
+    def numeric(v) -> bool:
+        return _is_number(v) or (isinstance(v, list) and all(numeric(x) for x in v))
+
+    try:
+        arr = np.asarray(value, dtype=float) if numeric(value) else None
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or not np.all(np.isfinite(arr)):
+        raise ConfigError(f"invalid value for {key!r}: must be a regular array of finite numbers")
+    return arr
+
+
+def _check_model_params(model: str, params: dict) -> None:
+    """Check the values of ``model_params`` so that a bad one is a
+    configuration error, not a failure while the model is built."""
+    if model == "linear":
+        if "N_e" in params:
+            _integer("N_e", params["N_e"], 1)
+        arrays = {k: _numeric_array(k, v) for k, v in params.items() if k != "N_e"}
+        try:
+            LinearGaussianSpec(**arrays)  # the shape checks; no model is built
+        except ValueError as exc:
+            raise ConfigError(f"invalid value for 'model_params': {exc}") from exc
+        return
+    if "scheme" in params and params["scheme"] not in ("beta", "even", "geometric"):
+        raise ConfigError("invalid value for 'scheme': must be 'beta', 'even' or 'geometric'")
+    if "J" in params:
+        _integer("J", params["J"], 1)
+    for key in ("dose", "noise_var"):
+        value = params.get(key, 1.0)
+        if not (_is_number(value) and math.isfinite(value) and value > 0):
+            raise ConfigError(f"invalid value for {key!r}: must be a positive number")
+    if "schedule" in params:
+        times = _numeric_array("schedule", params["schedule"])
+        if times.ndim != 1 or not times.size or np.any(times < 0.0) or np.any(np.diff(times) <= 0.0):
+            raise ConfigError("invalid value for 'schedule': must be a non-empty, strictly "
+                              "increasing list of non-negative times")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     model: str
@@ -143,8 +185,7 @@ def parse_config(text: str) -> RunConfig:
     bad = set(params) - allowed
     if bad:
         fail("model_params", f"unknown key {sorted(bad)[0]!r} for model {model!r}")
-    if model == "pk" and "scheme" in params and params["scheme"] not in ("beta", "even", "geometric"):
-        fail("model_params", "scheme must be 'beta', 'even' or 'geometric'")
+    _check_model_params(model, params)
 
     omega = raw.get("omega", 0.25)
     if not (_is_number(omega) and 0.0 < omega < 1.0):

@@ -134,8 +134,11 @@ def per_sample_cost(model: BayesModel, m: int, use_is: bool) -> float:
     """Forward-evaluation cost of one outer sample with m inner samples.
 
     Counts the m inner evaluations plus the one outer theta.  When the fit
-    needs finite-difference derivatives, the 2d + 2d^2 stencil evaluations
-    are charged on top; analytic derivatives are free.
+    needs finite-difference derivatives, 2d + 2d^2 stencil evaluations are
+    charged on top; analytic derivatives are free.  The fit actually makes
+    2d^2 + 4d + 1 (a Jacobian at theta* and at the fitted mean, a Hessian at
+    theta*), 31 against 24 charged at d = 3; the charge stays as it is because
+    criterion 4's cost slopes and the CLI's CSV outputs are built on it.
     """
     units = model.forward.cost_units
     cost = (m + 1) * units

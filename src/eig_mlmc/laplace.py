@@ -52,28 +52,27 @@ class LaplaceBatch:
         return self.log_norm[:, None] - 0.5 * np.sum(u * u, axis=-1)
 
 
-def _chol_rowwise(mats: np.ndarray, fallback: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row safeguarded Cholesky; rows that exhaust the jitter ladder get
-    the fallback factor.  Returns (chols, failed_mask)."""
-    b, d, _ = mats.shape
-    out = np.empty_like(mats)
-    failed = np.zeros(b, dtype=bool)
-    for i in range(b):
-        chol, _ = safeguarded_cholesky(mats[i])
-        if chol is None:
-            out[i] = fallback
-            failed[i] = True
-        else:
-            out[i] = chol
-    return out, failed
-
-
 def _chol_batch(mats: np.ndarray, fallback: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched Cholesky with a row-wise safeguarded retry on failure."""
-    try:
-        return np.linalg.cholesky(mats), np.zeros(mats.shape[0], dtype=bool)
-    except np.linalg.LinAlgError:
-        return _chol_rowwise(mats, fallback)
+    """Batched Cholesky.  Matrices that are not positive definite are found by
+    bisecting the batch and retried one by one with the safeguarded jitter
+    ladder; those that exhaust it get the fallback factor.  Returns
+    (chols, failed_mask)."""
+    out = np.empty_like(mats)
+    failed = np.zeros(mats.shape[0], dtype=bool)
+    spans = [(0, mats.shape[0])]
+    while spans:
+        lo, hi = spans.pop()
+        try:
+            out[lo:hi] = np.linalg.cholesky(mats[lo:hi])
+        except np.linalg.LinAlgError:
+            if hi - lo > 1:
+                mid = (lo + hi) // 2
+                spans += [(lo, mid), (mid, hi)]
+                continue
+            chol, _ = safeguarded_cholesky(mats[lo])
+            failed[lo] = chol is None
+            out[lo] = fallback if chol is None else chol
+    return out, failed
 
 
 def fit_batch(model: BayesModel, theta_star: np.ndarray, y: np.ndarray) -> LaplaceBatch:

@@ -225,6 +225,55 @@ def test_fd_raises_on_non_finite():
         fd_jacobian(fwd, np.array([0.5, 0.5]))
 
 
+def _pk_points(n=64):
+    model = make_pk_model(PkSpec())
+    x = model.prior.sample(RandomStream(31).generator(), size=n)
+    x[: n // 8, 1] = x[: n // 8, 0]  # k_a = k_e: the confluent seam
+    return model, x
+
+
+def test_fd_batch_equals_per_point():
+    # Every row of a batched stencil is bit-identical to its point alone.  The
+    # linear map is written per column: BLAS rounds a lone row of t @ A.T
+    # differently from the same row in a batch.
+    model, x = _pk_points()
+    a = LinearGaussianSpec().A
+    linear = ForwardMap(fn=lambda t: t[..., :1] * a[:, 0] + t[..., 1:] * a[:, 1], out_dim=3)
+    xl = 3.0 * RandomStream(32).generator().standard_normal((64, 2))
+    pk = ForwardMap(fn=model.forward.fn, out_dim=model.forward.out_dim)
+    for fwd, pts in ((pk, x), (linear, xl)):
+        for fd in (fd_jacobian, fd_hessian):
+            batch = fd(fwd, pts)
+            assert batch.shape[0] == len(pts)
+            assert np.array_equal(batch, np.stack([fd(fwd, t) for t in pts]))
+
+
+def test_forward_map_fd_batch_equals_stacked_points():
+    model, x = _pk_points()
+    fwd = ForwardMap(fn=model.forward.fn, out_dim=model.forward.out_dim)
+    assert np.array_equal(fwd.jacobian(x), np.stack([fwd.jacobian(t) for t in x]))
+    assert np.array_equal(fwd.hessian(x), np.stack([fwd.hessian(t) for t in x]))
+    # off the seam, where the model's own formula cancels over a stencil step
+    off = x[len(x) // 8:]
+    assert np.max(np.abs(fwd.jacobian(off) - model.forward.jacobian(off))) <= 1e-7
+    assert np.max(np.abs(fwd.hessian(off) - model.forward.hessian(off))) <= 1e-4
+
+
+def test_fd_batch_non_finite_row_is_nan():
+    def bad(theta):
+        out = np.ones(theta.shape[:-1] + (1,))
+        return out * np.where(np.sum(theta, axis=-1, keepdims=True) > 0.5, np.nan, 1.0)
+
+    fwd = ForwardMap(fn=bad, out_dim=1)
+    pts = np.array([[0.1, 0.1], [0.5, 0.5], [0.2, -0.3]])
+    for fd in (fd_jacobian, fd_hessian):
+        out = fd(fwd, pts)
+        assert np.all(np.isnan(out[1]))
+        assert np.all(np.isfinite(out[[0, 2]]))
+        with pytest.raises(EvaluationError):
+            fd(fwd, pts[1])
+
+
 def test_model_validation():
     prior = GaussianDensity(np.zeros(2), np.eye(2))
     fwd = ForwardMap(fn=lambda t: t, out_dim=2)

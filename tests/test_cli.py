@@ -252,3 +252,22 @@ def test_main_malformed_number_exit_2(tmp_path, capsys, extra, argv):
     assert main(["--config", cfgfile] + argv) == 2
     assert "invalid value for" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("model, params", [
+    ("linear", {"N_e": "two"}),
+    ("linear", {"N_e": 2.5}),
+    ("linear", {"A": [[1, 2]]}),
+    ("linear", {"A": [[1, 2], [3]]}),
+    ("pk", {"J": 2.5}),
+    ("pk", {"schedule": [3, 1]}),
+    ("pk", {"dose": -1}),
+    ("pk", {"noise_var": "0.01"}),
+], ids=["N_e-string", "N_e-fraction", "A-shape", "A-ragged", "J-fraction", "schedule-decreasing",
+        "dose-negative", "noise_var-string"])
+def test_main_malformed_model_params_exit_2(tmp_path, capsys, model, params):
+    cfgfile = write_cfg(tmp_path, minimal(model=model, model_params=params, eps=[0.05],
+                                          output_dir=str(tmp_path / "out")))
+    assert main(["--config", cfgfile]) == 2
+    assert "invalid value for" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -176,6 +176,22 @@ def test_importance_sampling_with_fd_derivatives(oned_spec):
     assert cost == 4000 * (65 + 2 * 1 + 2 * 1)
 
 
+def test_pk_fd_levels_match_analytic():
+    # The Laplace fit through finite differences gives the analytic model's
+    # level values to 1e-8.
+    from eig_mlmc.bayes import BayesModel, ForwardMap
+    from eig_mlmc.models import PkSpec, make_pk_model
+
+    analytic = make_pk_model(PkSpec())
+    fwd = analytic.forward
+    fd = BayesModel(analytic.prior, ForwardMap(fn=fwd.fn, out_dim=fwd.out_dim), analytic.noise)
+    for level in (3, 4, 5):
+        got = sample_level_values(fd, WITH_IS, level, 0, 300, RandomStream(74))
+        exact = sample_level_values(analytic, WITH_IS, level, 0, 300, RandomStream(74))
+        assert got.shape == (300,)
+        assert np.max(np.abs(got - exact)) <= 1e-8
+
+
 def test_non_finite_derivative_rows_fall_back_to_prior(oned_spec):
     from eig_mlmc.bayes import BayesModel, ForwardMap
     from eig_mlmc.gaussian import GaussianDensity

@@ -15,7 +15,9 @@ from eig_mlmc import (
     make_pk_model,
     sample_data,
 )
+from eig_mlmc import laplace
 from eig_mlmc.estimators import _inner_logweights
+from eig_mlmc.gaussian import safeguarded_cholesky
 from eig_mlmc.laplace import _chol_batch, fit_batch
 from eig_mlmc.models import PkSpec
 
@@ -151,6 +153,25 @@ def test_chol_batch_fallback_rows():
     assert abs(rebuilt[0, 0] - 2.0) <= 1e-3
 
 
+def test_chol_batch_retries_only_failing_rows(monkeypatch):
+    a = RandomStream(33).generator().standard_normal((16384, 3, 3))
+    mats = np.insert(a @ np.swapaxes(a, 1, 2) + 0.1 * np.eye(3), 9000, -np.eye(3), axis=0)
+    fallback = np.linalg.cholesky(4.0 * np.eye(3))
+    retried = []
+
+    def counting(mat):
+        retried.append(mat.copy())
+        return safeguarded_cholesky(mat)
+
+    monkeypatch.setattr(laplace, "safeguarded_cholesky", counting)
+    chols, failed = _chol_batch(mats, fallback)
+    assert np.flatnonzero(failed).tolist() == [9000]
+    assert len(retried) == 1 and np.array_equal(retried[0], -np.eye(3))
+    assert np.array_equal(chols[9000], fallback)
+    others = np.delete(np.arange(len(mats)), 9000)
+    assert np.array_equal(chols[others], np.linalg.cholesky(mats[others]))
+
+
 def test_non_finite_derivatives_raise(linear_spec):
     def bad_jac(theta):
         return np.full(theta.shape[:-1] + (3, 2), np.nan)
@@ -202,3 +223,30 @@ def test_negative_curvature_row_falls_back_to_prior():
     theta_hat = 0.5 + 5.0 / 91.0
     assert fits.theta_hat[0, 0] == pytest.approx(theta_hat, rel=1e-12)
     assert fits.chol_prec[0, 0, 0] == pytest.approx(math.sqrt(400.0 * theta_hat ** 2 + 1.0), rel=1e-12)
+
+
+def test_fd_non_finite_row_falls_back_to_prior():
+    # g(theta) = theta below 3 and NaN from 3 on, prior N(0, 1), noise
+    # variance 0.01.  The Newton step of the theta* = 2.9, y = 10 row leaves
+    # the domain, so that row reverts to the prior and the other is fitted,
+    # with finite differences as with analytic derivatives.
+    def g(t):
+        return np.where(t < 3.0, t, np.nan)
+
+    analytic = ForwardMap(
+        fn=g,
+        out_dim=1,
+        jac=lambda t: g(t)[..., None] * 0.0 + 1.0,
+        hess=lambda t: np.zeros(t.shape[:-1] + (1, 1, 1)),
+    )
+    prior = GaussianDensity(np.zeros(1), np.eye(1))
+    noise = GaussianDensity(np.zeros(1), 0.01 * np.eye(1))
+    theta_star = np.array([[2.9], [0.5]])
+    y = np.array([[10.0], [0.4]])
+    fits = [fit_batch(BayesModel(prior, fwd, noise), theta_star, y)
+            for fwd in (analytic, ForwardMap(fn=g, out_dim=1))]
+    for fit in fits:
+        assert fit.theta_hat[0, 0] == 2.9
+        assert fit.chol_prec[0, 0, 0] == 1.0
+        assert fit.theta_hat[1, 0] == pytest.approx(0.5 - 10.0 / 101.0, rel=1e-8)
+        assert fit.chol_prec[1, 0, 0] == pytest.approx(math.sqrt(101.0), rel=1e-8)
