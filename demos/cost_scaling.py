@@ -27,7 +27,7 @@ eps_ladder = [2e-2, 1e-2, 5e-3, 2.5e-3]
 print("eps        estimate   L   multilevel cost   single-level cost")
 ml_costs, sl_costs = [], []
 for i, eps in enumerate(eps_ladder):
-    run = run_adaptive(model, config, AdaptiveConfig(eps=eps, seed=3, n_star=200), threads=4)
+    run = run_adaptive(model, config, AdaptiveConfig(eps=eps, seed=3, n_star=200))
     m_top = config.inner_count(run.max_level)
     # variance of the deepest single-level variable, for its cost model
     pv = sample_p_values(model, m_top, 0, 2000, RandomStream(3).child(9, i), use_is=True)

@@ -26,7 +26,6 @@ for scheme in ("beta", "even", "geometric"):
         model,
         EstimatorConfig(m0=1, use_is=True),
         AdaptiveConfig(eps=EPS, seed=2024),
-        threads=4,
     )
     results[scheme] = run
 

@@ -158,7 +158,11 @@ def run_adaptive(
     adapt_config: AdaptiveConfig,
     threads: int = 1,
 ) -> MlmcRunResult:
-    """Adaptive multilevel estimate of the expected information gain."""
+    """Adaptive multilevel estimate of the expected information gain.
+
+    ``threads`` is accepted for compatibility and ignored: sampling runs
+    sequentially, and the result never depended on it.
+    """
     eps = adapt_config.eps
     omega = adapt_config.omega
     stream = RandomStream(adapt_config.seed)
@@ -175,9 +179,7 @@ def run_adaptive(
         for l in levels:
             need = targets[l] - stats[l].count
             if need > 0:
-                vals = sample_level_values(
-                    model, est_config, l, stats[l].count, need, stream, threads=threads,
-                )
+                vals = sample_level_values(model, est_config, l, stats[l].count, need, stream)
                 stats[l] = merge(stats[l], stats_from_values(vals, cost_of(l), l))
 
         alloc = optimal_allocation(

@@ -88,10 +88,6 @@ class BayesModel:
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
 
-    @property
-    def data_dim(self) -> int:
-        return self.replicates * self.forward.out_dim
-
 
 def response_log_likelihood(model: BayesModel, g: np.ndarray, y: np.ndarray) -> np.ndarray:
     """log p(y_b | .) from evaluated responses g (n, m, w) and data y (n, Ne*w),

@@ -5,7 +5,7 @@ accuracy and writes ``runs.csv`` plus ``allocation.csv``; ``rate-study``
 samples the level variables on a fixed grid and writes ``levels.csv`` plus
 ``rate_summary.json``.  All files are written to a temporary name and renamed
 into place, so a failed run never leaves a partial file.  Identical config
-and seed produce byte-identical files regardless of the thread count.
+and seed produce byte-identical files.
 
 Exit codes: 0 success, 2 configuration error, 3 non-convergence, 4 I/O error.
 """
@@ -35,6 +35,7 @@ from .estimators import (
     sample_p_values,
     stats_from_values,
 )
+from .gaussian import GaussianDensity
 from .models import LinearGaussianSpec, PkSpec, make_linear_model, make_pk_model, sampling_schedule
 from .streams import RandomStream
 
@@ -92,9 +93,15 @@ def _check_model_params(model: str, params: dict) -> None:
             _integer("N_e", params["N_e"], 1)
         arrays = {k: _numeric_array(k, v) for k, v in params.items() if k != "N_e"}
         try:
-            LinearGaussianSpec(**arrays)  # the shape checks; no model is built
+            spec = LinearGaussianSpec(**arrays)  # the shape checks
         except ValueError as exc:
             raise ConfigError(f"invalid value for 'model_params': {exc}") from exc
+        for key in ("Sigma_theta", "Sigma_eps"):
+            cov = getattr(spec, key)
+            try:
+                GaussianDensity(np.zeros(len(cov)), cov)  # symmetric positive definite
+            except ValueError as exc:
+                raise ConfigError(f"invalid value for {key!r}: {exc}") from exc
         return
     if "scheme" in params and params["scheme"] not in ("beta", "even", "geometric"):
         raise ConfigError("invalid value for 'scheme': must be 'beta', 'even' or 'geometric'")
@@ -264,7 +271,7 @@ def _csv(rows: list[tuple], header: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_rate_study(config: RunConfig, threads: int = 1) -> list[Path]:
+def run_rate_study(config: RunConfig) -> list[Path]:
     """Sample P_l and Z_l on levels 0..diagnostics_levels and write
     ``levels.csv`` and ``rate_summary.json``."""
     model = config.build_model()
@@ -277,8 +284,8 @@ def run_rate_study(config: RunConfig, threads: int = 1) -> list[Path]:
     corr_means, corr_vars = [], []
     for level in range(config.diagnostics_levels + 1):
         m = est.inner_count(level)
-        pv = sample_p_values(model, m, 0, n, stream, use_is=est.use_is, threads=threads)
-        zv = sample_level_values(model, est, level, 0, n, stream, threads=threads)
+        pv = sample_p_values(model, m, 0, n, stream, use_is=est.use_is)
+        zv = sample_level_values(model, est, level, 0, n, stream)
         cost = per_sample_cost(model, m, est.use_is)
         zs = stats_from_values(zv, cost, level)
         rows.append((
@@ -310,13 +317,13 @@ def run_rate_study(config: RunConfig, threads: int = 1) -> list[Path]:
     return [levels_path, summary_path]
 
 
-def _pilot_nmc_plan(model, est, config, eps, stream, threads):
+def _pilot_nmc_plan(model, est, config, eps, stream):
     """Choose (L, N) for a real nested run: L from the extrapolated bias of
     pilot corrections, N from a pilot variance of P_L."""
     n_pilot = PILOT_SAMPLES
     means, variances = [], []
     for level in range(1, 5):
-        zv = sample_level_values(model, est, level, 0, n_pilot, stream, threads=threads)
+        zv = sample_level_values(model, est, level, 0, n_pilot, stream)
         means.append(float(np.mean(zv)))
         variances.append(float(np.var(zv, ddof=1)))
     alpha_hat, _ = estimate_rates(means, variances)
@@ -328,13 +335,13 @@ def _pilot_nmc_plan(model, est, config, eps, stream, threads):
         level += 1
         predicted = abs(means[-1]) * 2.0 ** (-alpha_hat * (level - top))
     m = est.inner_count(level)
-    pv = sample_p_values(model, m, 0, n_pilot, stream, use_is=est.use_is, threads=threads)
+    pv = sample_p_values(model, m, 0, n_pilot, stream, use_is=est.use_is)
     var_pl = float(np.var(pv, ddof=1))
     n = max(2, math.ceil(var_pl / ((1.0 - config.omega) * eps * eps)))
     return level, n, var_pl, alpha_hat
 
 
-def run_estimate(config: RunConfig, threads: int = 1) -> list[Path]:
+def run_estimate(config: RunConfig) -> list[Path]:
     """Run the configured estimator once per eps value; write ``runs.csv``
     (one row per eps) and ``allocation.csv`` (one row per eps and level)."""
     model = config.build_model()
@@ -349,12 +356,11 @@ def run_estimate(config: RunConfig, threads: int = 1) -> list[Path]:
                 eps=eps, omega=config.omega, l0=config.l0,
                 n_star=config.n_star, l_max=config.l_max, seed=config.seed,
             )
-            res = run_adaptive(model, est, adapt, threads=threads)
+            res = run_adaptive(model, est, adapt)
             top = res.max_level
             m_top = est.inner_count(top)
             pilot_stream = RandomStream(config.seed).child(3, i)
-            pv = sample_p_values(model, m_top, 0, PILOT_SAMPLES, pilot_stream,
-                                 use_is=est.use_is, threads=threads)
+            pv = sample_p_values(model, m_top, 0, PILOT_SAMPLES, pilot_stream, use_is=est.use_is)
             nmc_cost = nmc_cost_model(
                 float(np.var(pv, ddof=1)),
                 per_sample_cost(model, m_top, est.use_is),
@@ -366,10 +372,9 @@ def run_estimate(config: RunConfig, threads: int = 1) -> list[Path]:
                 alloc_rows.append((eps, rec.level, rec.n_samples, rec.variance, rec.cost_per_sample))
         else:
             stream = RandomStream(config.seed).child(4, i)
-            level, n, var_pl, alpha_hat = _pilot_nmc_plan(model, est, config, eps, stream, threads)
+            level, n, var_pl, alpha_hat = _pilot_nmc_plan(model, est, config, eps, stream)
             m = est.inner_count(level)
-            estimate, _, cost = nmc_estimate(model, n, m, stream,
-                                             use_is=est.use_is, threads=threads)
+            estimate, _, cost = nmc_estimate(model, n, m, stream, use_is=est.use_is)
             nmc_cost = nmc_cost_model(var_pl, per_sample_cost(model, m, est.use_is),
                                       eps, config.omega)
             run_rows.append((eps, estimate, cost, level, alpha_hat, math.nan, nmc_cost))
@@ -391,8 +396,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--mode", choices=["estimate", "rate-study"], default="estimate")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--output-dir", default=None, help="override the config output directory")
-    parser.add_argument("--threads", type=int, default=0,
-                        help="worker threads (0 = auto); never affects results")
+    parser.add_argument("--threads", type=int,
+                        help="accepted for compatibility; ignored")
     args = parser.parse_args(argv)
 
     try:
@@ -410,13 +415,12 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.output_dir is not None:
         config = dataclasses.replace(config, output_dir=args.output_dir)
-    threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
 
     try:
         if args.mode == "rate-study":
-            paths = run_rate_study(config, threads=threads)
+            paths = run_rate_study(config)
         else:
-            paths = run_estimate(config, threads=threads)
+            paths = run_estimate(config)
     except NonConvergenceError as exc:
         trace_path = Path(config.output_dir) / "trace.json"
         try:

@@ -12,14 +12,13 @@ by concavity of the logarithm.
 Sampling is organised in fixed-size blocks of outer indices.  Block b of a
 given sampler draws from the sub-stream (purpose, level-or-M, b), so the
 value attached to one outer index is a pure function of (seed, index) and is
-unchanged by how spans of work are split across rounds or workers.
+unchanged by how spans of work are split across rounds.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +65,7 @@ class EstimatorConfig:
 
 @dataclass(frozen=True)
 class LevelStats:
-    """Streaming power sums of level values, mergeable across workers."""
+    """Streaming power sums of level values, mergeable across spans."""
 
     count: int = 0
     sum1: float = 0.0
@@ -279,7 +278,6 @@ def _span_values(
     tag: int,
     use_is: bool,
     antithetic: bool,
-    threads: int,
 ) -> np.ndarray:
     """Values for outer indices [start, start + count) under the block layout.
 
@@ -291,22 +289,11 @@ def _span_values(
     if count <= 0:
         return np.empty(0)
     rows = _block_rows(m)
-    first = start // rows
-    last = (start + count - 1) // rows
-
-    def one_block(b: int) -> np.ndarray:
+    parts = []
+    for b in range(start // rows, (start + count - 1) // rows + 1):
         rng = stream.child(purpose, tag, b).generator()
         vals = _block_values(model, m, rows, rng, use_is, antithetic)
-        lo = max(start, b * rows) - b * rows
-        hi = min(start + count, (b + 1) * rows) - b * rows
-        return vals[lo:hi]
-
-    blocks = range(first, last + 1)
-    if threads > 1 and last > first:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(one_block, blocks))
-    else:
-        parts = [one_block(b) for b in blocks]
+        parts.append(vals[max(start - b * rows, 0):start + count - b * rows])
     values = np.concatenate(parts)
     bad = ~np.isfinite(values)
     if np.any(bad):
@@ -326,7 +313,6 @@ def sample_level_values(
     start: int,
     count: int,
     stream: RandomStream,
-    threads: int = 1,
 ) -> np.ndarray:
     """Batch of level-``level`` variable realisations for outer indices
     [start, start + count): the level-zero variable at level 0, antithetic
@@ -336,7 +322,7 @@ def sample_level_values(
     m = config.inner_count(level)
     return _span_values(
         model, m, start, count, stream,
-        _PURPOSE_CORRECTION, level, config.use_is, antithetic=level >= 1, threads=threads,
+        _PURPOSE_CORRECTION, level, config.use_is, antithetic=level >= 1,
     )
 
 
@@ -347,14 +333,13 @@ def sample_p_values(
     count: int,
     stream: RandomStream,
     use_is: bool = False,
-    threads: int = 1,
 ) -> np.ndarray:
     """Batch of plain nested estimates (one outer sample, m inner samples)."""
     if m < 1:
         raise ValueError("m must be >= 1")
     return _span_values(
         model, m, start, count, stream,
-        _PURPOSE_PLAIN, m, use_is, antithetic=False, threads=threads,
+        _PURPOSE_PLAIN, m, use_is, antithetic=False,
     )
 
 
@@ -364,7 +349,6 @@ def nmc_estimate(
     m: int,
     stream: RandomStream,
     use_is: bool = False,
-    threads: int = 1,
 ) -> tuple[float, float, float]:
     """Nested Monte Carlo estimate of the expected information gain.
 
@@ -374,7 +358,7 @@ def nmc_estimate(
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
-    values = sample_p_values(model, m, 0, n, stream, use_is=use_is, threads=threads)
+    values = sample_p_values(model, m, 0, n, stream, use_is=use_is)
     est = float(np.mean(values))
     se = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else math.inf
     return est, se, n * per_sample_cost(model, m, use_is)

@@ -37,7 +37,7 @@ from test_models import gauss_hermite_eig_1d
 
 EPS = 5e-3
 IS_CFG = EstimatorConfig(m0=1, use_is=True)
-THREADS = 4  # never affects values, only wall time
+THREADS = 4  # run_adaptive accepts a thread count and ignores it
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -86,7 +86,7 @@ def _rate_summary(tmp_path, name, **cfg_extra):
     base.update(cfg_extra)
     from eig_mlmc.cli import run_rate_study
 
-    run_rate_study(parse_config(json.dumps(base)), threads=THREADS)
+    run_rate_study(parse_config(json.dumps(base)))
     summary = json.loads((tmp_path / name / "rate_summary.json").read_text())
     return summary["alpha_hat"], summary["beta_hat"]
 
@@ -123,8 +123,7 @@ def test_criterion_4_cost_slopes():
             )
             ml_costs[i] += res.total_cost / n_seeds
             m_top = IS_CFG.inner_count(res.max_level)
-            pv = sample_p_values(model, m_top, 0, 2000, RandomStream(seed).child(90, i),
-                                 use_is=True, threads=THREADS)
+            pv = sample_p_values(model, m_top, 0, 2000, RandomStream(seed).child(90, i), use_is=True)
             nmc_costs[i] += nmc_cost_model(
                 float(np.var(pv, ddof=1)), per_sample_cost(model, m_top, True), eps, 0.25,
             ) / n_seeds
@@ -155,7 +154,7 @@ def test_criterion_5_pk_table():
         stream = RandomStream(321)
         means, variances = [], []
         for level in range(1, 9):
-            v = sample_level_values(model, IS_CFG, level, 0, 20000, stream, threads=THREADS)
+            v = sample_level_values(model, IS_CFG, level, 0, 20000, stream)
             means.append(float(np.mean(v)))
             variances.append(float(np.var(v, ddof=1)))
         from eig_mlmc import estimate_rates
@@ -218,7 +217,6 @@ def test_criterion_6b_corrections_non_positive():
             for level in range(1, 7):
                 v = sample_level_values(
                     model, EstimatorConfig(m0=1, use_is=use_is), level, 0, 2000, RandomStream(61),
-                    threads=THREADS,
                 )
                 worst = max(worst, float(np.max(v)))
                 total += v.size
@@ -237,10 +235,10 @@ def test_criterion_6c_telescoping_matches_direct():
     total = 0.0
     var = 0.0
     for level in range(top + 1):
-        v = sample_level_values(model, IS_CFG, level, 0, n, stream, threads=THREADS)
+        v = sample_level_values(model, IS_CFG, level, 0, n, stream)
         total += np.mean(v)
         var += np.var(v, ddof=1) / n
-    est, se, _ = nmc_estimate(model, n, 2 ** top, RandomStream(63), use_is=True, threads=THREADS)
+    est, se, _ = nmc_estimate(model, n, 2 ** top, RandomStream(63), use_is=True)
     gap = abs(total - est)
     bound = 3 * math.sqrt(var + se ** 2)
     report(
@@ -314,7 +312,7 @@ def test_criterion_6f_sign_flip_invariance():
 @pytest.mark.slow
 def test_criterion_6g_no_underflow_in_million_pk_samples():
     model = make_pk_model(PkSpec())
-    v = sample_level_values(model, IS_CFG, 0, 0, 1_000_000, RandomStream(68), threads=THREADS)
+    v = sample_level_values(model, IS_CFG, 0, 0, 1_000_000, RandomStream(68))
     ok = bool(np.all(np.isfinite(v)))
     report(
         "6g (underflow-free)",
