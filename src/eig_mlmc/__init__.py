@@ -15,7 +15,7 @@ from .adaptive import (
     optimal_allocation,
     run_adaptive,
 )
-from .bayes import BayesModel, ForwardMap, fd_hessian, fd_jacobian, log_likelihood, sample_data
+from .bayes import BayesModel, ForwardMap, fd_hessian, fd_jacobian
 from .errors import (
     EvaluationError,
     InnerUnderflowError,
@@ -37,7 +37,6 @@ from .models import (
     linear_gaussian_analytic_eig,
     make_linear_model,
     make_pk_model,
-    pk_forward,
     sampling_schedule,
 )
 from .streams import RandomStream
@@ -64,16 +63,13 @@ __all__ = [
     "fd_hessian",
     "fd_jacobian",
     "linear_gaussian_analytic_eig",
-    "log_likelihood",
     "make_linear_model",
     "make_pk_model",
     "merge",
     "nmc_cost_model",
     "nmc_estimate",
     "optimal_allocation",
-    "pk_forward",
     "run_adaptive",
-    "sample_data",
     "sample_level_values",
     "sample_p_values",
     "sampling_schedule",

@@ -15,14 +15,11 @@ from scipy.linalg import solve_triangular
 
 from .errors import EvaluationError
 from .gaussian import GaussianDensity
-from .streams import RandomStream, as_generator
 
 __all__ = [
     "ForwardMap",
     "BayesModel",
-    "log_likelihood",
     "response_log_likelihood",
-    "sample_data",
     "fd_jacobian",
     "fd_hessian",
 ]
@@ -68,11 +65,9 @@ class ForwardMap:
 
 @dataclass(frozen=True)
 class BayesModel:
-    """Prior + forward map + zero-mean Gaussian noise, replicated ``replicates`` times.
-
-    ``prior`` is any object with ``sample``, ``log_pdf``, ``grad_log_pdf``,
-    ``hess_log_pdf`` and ``dim``; :class:`~eig_mlmc.gaussian.GaussianDensity`
-    satisfies the interface.
+    """Gaussian prior + forward map + zero-mean Gaussian noise, replicated
+    ``replicates`` times.  Prior and noise are both
+    :class:`~eig_mlmc.gaussian.GaussianDensity`.
     """
 
     prior: GaussianDensity
@@ -103,43 +98,6 @@ def response_log_likelihood(model: BayesModel, g: np.ndarray, y: np.ndarray) -> 
     with np.errstate(over="ignore"):  # an overflowing quad form means density zero
         quad = np.sum(u * u, axis=0).reshape(n, m, ne).sum(axis=-1)
     return ne * model.noise.log_norm_const - 0.5 * quad
-
-
-def log_likelihood(model: BayesModel, theta: np.ndarray, y: np.ndarray) -> float | np.ndarray:
-    """log p(y | theta) for one theta (d,) or a batch (n, d).
-
-    ``y`` is the concatenated data vector of length replicates * w.  The value
-    is the sum of per-replicate Gaussian log densities of the residuals; no
-    density is ever exponentiated.
-    """
-    theta = np.asarray(theta, dtype=float)
-    y = np.asarray(y, dtype=float)
-    d = model.prior.dim
-    w = model.forward.out_dim
-    ne = model.replicates
-    if theta.shape[-1] != d:
-        raise ValueError(f"theta must have dimension {d}")
-    if y.shape != (ne * w,):
-        raise ValueError(f"y must have shape ({ne * w},)")
-    g = model.forward.eval(np.atleast_2d(theta))           # (n, w)
-    out = response_log_likelihood(model, g[None], y[None])[0]
-    return float(out[0]) if theta.ndim == 1 else out
-
-
-def sample_data(model: BayesModel, theta: np.ndarray, stream: RandomStream | np.random.Generator) -> np.ndarray:
-    """Draw y = replicated g(theta) + noise from the given stream.
-
-    Draw order contract: one ``standard_normal((replicates, w))`` block, then
-    each row is coloured with the noise Cholesky factor.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (model.prior.dim,):
-        raise ValueError(f"theta must have shape ({model.prior.dim},)")
-    rng = as_generator(stream)
-    g = model.forward.eval(theta)
-    z = rng.standard_normal((model.replicates, model.forward.out_dim))
-    eps = z @ model.noise.chol.T
-    return (g[None, :] + eps).reshape(-1)
 
 
 def _fd_eval(forward: ForwardMap, pts: np.ndarray, bad: np.ndarray) -> np.ndarray:

@@ -39,8 +39,7 @@ from .gaussian import GaussianDensity
 from .models import LinearGaussianSpec, PkSpec, make_linear_model, make_pk_model, sampling_schedule
 from .streams import RandomStream
 
-__all__ = ["RunConfig", "ConfigError", "parse_config", "serialize_config",
-           "run_rate_study", "run_estimate", "main"]
+__all__ = ["RunConfig", "ConfigError", "parse_config", "run_rate_study", "run_estimate", "main"]
 
 # Samples used to estimate var(P_L) for the single-level cost report and to
 # size a real nested run.
@@ -180,9 +179,9 @@ def parse_config(text: str) -> RunConfig:
         fail("estimator", "must be 'mlmc' or 'nmc'")
     eps = raw.get("eps")
     if not isinstance(eps, list) or not eps or not all(
-        _is_number(e) and e > 0 for e in eps
+        _is_number(e) and math.isfinite(e) and e > 0 for e in eps
     ):
-        fail("eps", "must be a non-empty list of positive numbers")
+        fail("eps", "must be a non-empty list of positive finite numbers")
     eps = tuple(sorted((float(e) for e in eps), reverse=True))
     seed = _integer("seed", raw.get("seed"), 0)
     params = raw.get("model_params", {})
@@ -206,6 +205,9 @@ def parse_config(text: str) -> RunConfig:
         fail("is_enabled", "must be a boolean")
     diagnostics_levels = _integer("diagnostics_levels", raw.get("diagnostics_levels", 8), 1)
     diagnostics_samples = _integer("diagnostics_samples", raw.get("diagnostics_samples", 20000), 2)
+    output_dir = raw.get("output_dir", ".")
+    if not (isinstance(output_dir, str) and output_dir):
+        fail("output_dir", "must be a non-empty string")
 
     return RunConfig(
         model=model,
@@ -219,31 +221,10 @@ def parse_config(text: str) -> RunConfig:
         m0=m0,
         l_max=l_max,
         is_enabled=is_enabled,
-        output_dir=str(raw.get("output_dir", ".")),
+        output_dir=output_dir,
         diagnostics_levels=diagnostics_levels,
         diagnostics_samples=diagnostics_samples,
     )
-
-
-def serialize_config(config: RunConfig) -> str:
-    """Canonical JSON for a config; parse_config inverts it exactly."""
-    out = {
-        "model": config.model,
-        "model_params": config.model_params,
-        "estimator": config.estimator,
-        "eps": list(config.eps),
-        "seed": config.seed,
-        "omega": config.omega,
-        "L0": config.l0,
-        "N_star": config.n_star,
-        "M0": config.m0,
-        "L_max": config.l_max,
-        "is_enabled": config.is_enabled,
-        "output_dir": config.output_dir,
-        "diagnostics_levels": config.diagnostics_levels,
-        "diagnostics_samples": config.diagnostics_samples,
-    }
-    return json.dumps(out, sort_keys=True)
 
 
 def _write_atomic(path: Path, text: str) -> None:

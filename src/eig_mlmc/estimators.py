@@ -25,7 +25,7 @@ import numpy as np
 
 from . import laplace
 from .bayes import BayesModel, response_log_likelihood
-from .errors import EvaluationError, InnerUnderflowError
+from .errors import InnerUnderflowError
 from .streams import RandomStream
 
 __all__ = [
@@ -96,10 +96,6 @@ class LevelStats:
             return math.nan
         mu4 = (self.sum4 - 4.0 * m * self.sum3 + 6.0 * m * m * self.sum2) / n - 3.0 * m ** 4
         return mu4 / mu2 ** 2
-
-    @property
-    def cost_per_sample(self) -> float:
-        return self.total_cost / self.count if self.count else math.nan
 
 
 def merge(a: LevelStats, b: LevelStats) -> LevelStats:
@@ -196,17 +192,6 @@ def _prior_logweights(model: BayesModel, y: np.ndarray, z_inner: np.ndarray) -> 
     return _loglik_grid(model, inner, y)
 
 
-def _is_logweights(model: BayesModel, theta, y, z_inner) -> np.ndarray:
-    n, m, d = z_inner.shape
-    fits = laplace.fit_batch(model, theta, y)
-    inner = fits.draw(z_inner)
-    return (
-        _loglik_grid(model, inner, y)
-        + np.asarray(model.prior.log_pdf(inner.reshape(n * m, d))).reshape(n, m)
-        - fits.log_pdf(inner)
-    )
-
-
 def _inner_logweights(
     model: BayesModel,
     theta: np.ndarray,
@@ -217,35 +202,28 @@ def _inner_logweights(
     """Per-row inner log weights: log p(y | .) alone, or with the importance
     correction log p(.) - log q(. | y) under per-row Laplace fits.
 
-    Outer samples whose derivative evaluations come back non-finite cannot be
-    fitted; those rows fall back to prior sampling.
+    The block is fitted once.  Rows the fit marks ``unfit`` (non-finite
+    derivatives at theta*) are overwritten with prior-sampling weights.
     """
     if not use_is:
         return _prior_logweights(model, y, z_inner)
-    try:
-        return _is_logweights(model, theta, y, z_inner)
-    except EvaluationError:
-        jac = model.forward.jacobian(theta)
-        hess = model.forward.hessian(theta)
-        g = model.forward.eval(theta)
-        bad = ~(
-            np.all(np.isfinite(jac), axis=(1, 2))
-            & np.all(np.isfinite(hess), axis=(1, 2, 3))
-            & np.all(np.isfinite(g), axis=1)
-        )
-        if not np.any(bad):
-            raise
+    n, m, d = z_inner.shape
+    fits = laplace.fit_batch(model, theta, y)
+    inner = fits.draw(z_inner)
+    logw = (
+        _loglik_grid(model, inner, y)
+        + model.prior.log_pdf(inner.reshape(n * m, d)).reshape(n, m)
+        - fits.log_pdf(inner)
+    )
+    unfit = fits.unfit
+    if np.any(unfit):
         warnings.warn(
-            f"{int(np.sum(bad))} outer samples had non-finite derivatives; "
+            f"{int(np.sum(unfit))} outer samples had non-finite derivatives; "
             "falling back to prior sampling for them",
             RuntimeWarning,
         )
-        logw = np.empty(z_inner.shape[:2])
-        good = ~bad
-        if np.any(good):
-            logw[good] = _is_logweights(model, theta[good], y[good], z_inner[good])
-        logw[bad] = _prior_logweights(model, y[bad], z_inner[bad])
-        return logw
+        logw[unfit] = _prior_logweights(model, y[unfit], z_inner[unfit])
+    return logw
 
 
 def _block_values(

@@ -1,16 +1,13 @@
 """Multivariate Gaussian density with cached Cholesky factor.
 
-Used for priors, observation noise, and fitted importance distributions.  It
-also satisfies the prior interface expected by :class:`eig_mlmc.bayes.BayesModel`
-(``sample``, ``log_pdf``, ``grad_log_pdf``, ``hess_log_pdf``, ``dim``).
+Used for priors, observation noise, and fitted importance distributions; the
+prior of a :class:`eig_mlmc.bayes.BayesModel` is a ``GaussianDensity``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import solve_triangular
-
-from .streams import RandomStream, as_generator
 
 __all__ = ["GaussianDensity", "safeguarded_cholesky"]
 
@@ -20,8 +17,8 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 class GaussianDensity:
     """N(mean, cov) with the lower Cholesky factor and log normaliser cached.
 
-    All density arithmetic stays in log space.  ``log_pdf`` accepts a single
-    point of shape (dim,) or a batch of shape (n, dim).
+    All density arithmetic stays in log space.  ``log_pdf`` and ``sample``
+    work on batches of shape (n, dim).
     """
 
     def __init__(self, mean, cov):
@@ -55,34 +52,20 @@ class GaussianDensity:
             self._prec = inv_l.T @ inv_l
         return self._prec
 
-    def log_pdf(self, x) -> float | np.ndarray:
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
-        if pts.shape[-1] != self.dim:
-            raise ValueError(f"expected points of dimension {self.dim}")
-        v = pts - self.mean
-        u = solve_triangular(self.chol, v.T, lower=True)
-        out = self.log_norm_const - 0.5 * np.sum(u * u, axis=0)
-        return float(out[0]) if single else out
+    def log_pdf(self, x: np.ndarray) -> np.ndarray:
+        """Log density of the points (n, dim), shape (n,)."""
+        pts = np.asarray(x, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise ValueError(f"expected points of shape (n, {self.dim})")
+        u = solve_triangular(self.chol, (pts - self.mean).T, lower=True)
+        return self.log_norm_const - 0.5 * np.sum(u * u, axis=0)
 
-    def grad_log_pdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return -(x - self.mean) @ self.precision
-
-    def hess_log_pdf(self, x=None) -> np.ndarray:
-        """Constant -precision; the argument is accepted for interface parity."""
-        return -self.precision
-
-    def sample(self, stream: RandomStream | np.random.Generator, size: int | None = None) -> np.ndarray:
-        """Draw one point (size=None) or a (size, dim) batch.
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Draw a (size, dim) batch.
 
         Draws raw standard normals first and colours them with the Cholesky
         factor, so the raw stream can be replayed independently.
         """
-        rng = as_generator(stream)
-        if size is None:
-            return self.mean + self.chol @ rng.standard_normal(self.dim)
         z = rng.standard_normal((size, self.dim))
         return self.mean + z @ self.chol.T
 

@@ -7,8 +7,8 @@ derivatives J = -grad g and H = -hess g; the sign cancels wherever J enters
 quadratically and is kept explicit in the linear terms.
 
 The fit is refreshed per outer sample and never shared across outer samples.
-``fit_batch`` fits a whole block of outer samples at once; a single sample is
-a batch of one.
+``fit_batch`` fits a whole block of outer samples at once, in one pass; a
+single sample is a batch of one.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from .bayes import BayesModel
-from .errors import EvaluationError
 from .gaussian import safeguarded_cholesky
 
 __all__ = ["LaplaceBatch", "fit_batch"]
@@ -29,12 +28,15 @@ class LaplaceBatch:
 
     ``chol_prec[b]`` is the lower Cholesky factor of the inverse covariance,
     which serves both sampling (solve against its transpose) and density
-    evaluation without ever forming Sigma_hat.
+    evaluation without ever forming Sigma_hat.  ``unfit[b]`` marks a row whose
+    derivatives at theta* were not finite; it holds the prior fallback, and
+    its outer sample belongs to prior sampling instead.
     """
 
-    def __init__(self, theta_hat: np.ndarray, chol_prec: np.ndarray):
+    def __init__(self, theta_hat: np.ndarray, chol_prec: np.ndarray, unfit: np.ndarray):
         self.theta_hat = theta_hat
         self.chol_prec = chol_prec
+        self.unfit = unfit
         d = theta_hat.shape[-1]
         logdiag = np.log(np.diagonal(chol_prec, axis1=1, axis2=2))
         self.log_norm = -0.5 * d * _LOG_2PI + np.sum(logdiag, axis=1)
@@ -78,12 +80,14 @@ def _chol_batch(mats: np.ndarray, fallback: np.ndarray) -> tuple[np.ndarray, np.
 def fit_batch(model: BayesModel, theta_star: np.ndarray, y: np.ndarray) -> LaplaceBatch:
     """Laplace fits for outer samples theta_star (B, d) with data y (B, Ne*w).
 
-    theta_hat = theta* - (J'S J + H'S E - hess log p(theta*))^-1 J'S E summed
-    over replicate blocks (S the noise precision, J, H the negated model
-    derivatives), then Sigma_hat^-1 = J(theta_hat)'S J(theta_hat) - hess log
-    p(theta_hat).  Matrices failing the positive-definite check go through an
-    escalating jitter ladder; rows that still fail fall back to the prior
-    (mean theta*, prior covariance).
+    theta_hat = theta* - (J'S J + H'S E + P)^-1 J'S E summed over replicate
+    blocks (S the noise precision, P the prior precision, J, H the negated
+    model derivatives), then Sigma_hat^-1 = J(theta_hat)'S J(theta_hat) + P.
+    Matrices failing the positive-definite check go through an escalating
+    jitter ladder; rows that still fail fall back to the prior (mean theta*,
+    prior covariance).  Rows whose forward value or derivatives at theta* are
+    not finite are fitted on zeroed derivatives, which lands them on the same
+    fallback, and are flagged in ``unfit``.
     """
     ne = model.replicates
     w = model.forward.out_dim
@@ -92,26 +96,32 @@ def fit_batch(model: BayesModel, theta_star: np.ndarray, y: np.ndarray) -> Lapla
     jg = model.forward.jacobian(theta_star)          # (B, w, d) plain grad g
     hg = model.forward.hessian(theta_star)           # (B, w, d, d)
     g = model.forward.eval(theta_star)               # (B, w)
-    if not (np.all(np.isfinite(jg)) and np.all(np.isfinite(hg)) and np.all(np.isfinite(g))):
-        raise EvaluationError("non-finite forward or derivative evaluation in Laplace fit")
+    unfit = ~(
+        np.all(np.isfinite(jg), axis=(1, 2))
+        & np.all(np.isfinite(hg), axis=(1, 2, 3))
+        & np.all(np.isfinite(g), axis=1)
+    )
+    if np.any(unfit):
+        # np.where keeps the operands' memory layout, so the other rows round as before
+        jg = np.where(unfit[:, None, None], 0.0, jg)
+        hg = np.where(unfit[:, None, None, None], 0.0, hg)
 
     b = theta_star.shape[0]
     esum = y.reshape(b, ne, w).sum(axis=1) - ne * g      # sum of residual blocks
     s = esum @ prec                                      # (B, w), Sigma_eps^-1 E summed
+    s[unfit] = 0.0                                       # so an unfit row's step is zero
 
     pj = np.matmul(prec, jg)                             # (B, w, d)
     jtsj = np.matmul(np.swapaxes(jg, 1, 2), pj)          # J' S J, sign-free
     term_h = -np.einsum("bwij,bw->bij", hg, s)           # H' S E with H = -hess g
-    prior_hess = np.asarray(model.prior.hess_log_pdf(theta_star))
-    curv = ne * jtsj + term_h - prior_hess               # matrix of the Newton step
+    curv = ne * jtsj + term_h + model.prior.precision    # matrix of the Newton step
     rhs = -np.einsum("bwi,bw->bi", jg, s)                # J' S E with J = -grad g
 
     prior_chol_prec = np.linalg.cholesky(model.prior.precision)
     step_chol, failed = _chol_batch(curv, prior_chol_prec)
     step_mat = np.matmul(step_chol, np.swapaxes(step_chol, 1, 2))
     theta_hat = theta_star - np.linalg.solve(step_mat, rhs[..., None])[..., 0]
-    bad = ~np.all(np.isfinite(theta_hat), axis=1)
-    failed |= bad
+    failed |= unfit | ~np.all(np.isfinite(theta_hat), axis=1)
     theta_hat[failed] = theta_star[failed]
 
     j2 = model.forward.jacobian(theta_hat)
@@ -120,12 +130,10 @@ def fit_batch(model: BayesModel, theta_star: np.ndarray, y: np.ndarray) -> Lapla
         # the Newton step wandered somewhere the derivatives break down
         j2 = np.where(bad2[:, None, None], 0.0, j2)
         failed |= bad2
-    m2 = ne * np.matmul(np.swapaxes(j2, 1, 2), np.matmul(prec, j2))
-    m2 = m2 - np.asarray(model.prior.hess_log_pdf(theta_hat))
+    m2 = ne * np.matmul(np.swapaxes(j2, 1, 2), np.matmul(prec, j2)) + model.prior.precision
     chol_prec, failed2 = _chol_batch(m2, prior_chol_prec)
     failed |= failed2
     if np.any(failed):
         theta_hat[failed] = theta_star[failed]
         chol_prec[failed] = prior_chol_prec
-    return LaplaceBatch(theta_hat, chol_prec)
-
+    return LaplaceBatch(theta_hat, chol_prec, unfit)

@@ -20,7 +20,6 @@ __all__ = [
     "PkSpec",
     "linear_gaussian_analytic_eig",
     "make_linear_model",
-    "pk_forward",
     "sampling_schedule",
     "make_pk_model",
 ]
@@ -175,25 +174,13 @@ class PkSpec:
             raise ValueError("prior variances must be positive")
 
 
-def pk_forward(spec: PkSpec, theta: np.ndarray) -> np.ndarray:
-    """Concentrations at the schedule times for physical theta = (k_a, k_e, V).
-
-    (D/V) * k_a/(k_a - k_e) * (exp(-k_e t) - exp(-k_a t)), switching to the
-    confluent limit (D/V) * k_a * t * exp(-k_a t) when k_a and k_e coincide
-    to within 1e-8 relative.  Vectorised over a leading batch axis.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape[-1] != 3:
-        raise ValueError("theta must have 3 components (k_a, k_e, V)")
-    if np.any(theta <= 0.0):
-        raise ValueError("PK parameters must be positive")
-    g, _, _ = _pk_terms(spec, theta, order=0)
-    return g
-
-
 def _pk_terms(spec: PkSpec, theta: np.ndarray, order: int):
     """g at physical theta and, for order >= 1, derivatives with respect to
     the LOG parameters x = log(theta).
+
+    g = (D/V) * k_a/(k_a - k_e) * (exp(-k_e t) - exp(-k_a t)), switching to
+    the confluent limit (D/V) * k_a * t * exp(-k_a t) where k_a and k_e
+    coincide to within 1e-8 relative.
 
     Returns (g, jac, hess) where jac is (..., J, 3) and hess (..., J, 3, 3);
     entries beyond ``order`` are None.  The k_a = k_e seam uses series limits

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RandomStream", "as_generator"]
+__all__ = ["RandomStream"]
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,3 @@ class RandomStream:
         seq = np.random.SeedSequence(self.master_seed, spawn_key=self.path)
         return np.random.Generator(np.random.Philox(seq))
 
-
-def as_generator(source: RandomStream | np.random.Generator) -> np.random.Generator:
-    """Accept either a stream or an already-built generator."""
-    if isinstance(source, RandomStream):
-        return source.generator()
-    return source

@@ -9,6 +9,7 @@ from eig_mlmc import (
     LinearGaussianSpec,
     make_linear_model,
 )
+from eig_mlmc.bayes import response_log_likelihood
 from eig_mlmc.estimators import _block_values, _draw_outer, _inner_logweights, _logmeanexp
 from eig_mlmc.laplace import fit_batch
 
@@ -80,6 +81,21 @@ def point_mass_model():
 # ---------------------------------------------------------------------------
 # Single-sample views of the batched code (a batch of one)
 # ---------------------------------------------------------------------------
+
+
+def log_likelihood(model, theta, y):
+    """log p(y | theta) at points theta (n, d) for one data vector y, shape
+    (n,): the likelihood kernel with the data row shared by every point."""
+    g = model.forward.eval(np.atleast_2d(theta))
+    return response_log_likelihood(model, g[None], np.asarray(y)[None])[0]
+
+
+def simulate_data(model, theta, stream):
+    """Data y at one point theta (d,): replicated g(theta) plus one
+    ``standard_normal((replicates, w))`` block from ``stream``, coloured by
+    the noise Cholesky factor."""
+    z = stream.generator().standard_normal((model.replicates, model.forward.out_dim))
+    return (model.forward.eval(theta)[None, :] + z @ model.noise.chol.T).reshape(-1)
 
 
 def one_value(model, m, stream, use_is, antithetic):

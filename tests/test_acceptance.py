@@ -24,7 +24,6 @@ from eig_mlmc import (
     nmc_cost_model,
     nmc_estimate,
     run_adaptive,
-    sample_data,
     sample_level_values,
     sample_p_values,
 )
@@ -32,7 +31,7 @@ from eig_mlmc.cli import main, parse_config
 from eig_mlmc.estimators import _draw_outer, _inner_logweights, per_sample_cost
 from eig_mlmc.models import PkSpec, sampling_schedule
 
-from conftest import U_LINEAR_NE1, U_LINEAR_NE10, laplace_density
+from conftest import U_LINEAR_NE1, U_LINEAR_NE10, laplace_density, simulate_data
 from test_models import gauss_hermite_eig_1d
 
 EPS = 5e-3
@@ -253,7 +252,7 @@ def test_criterion_6d_laplace_exact_on_linear():
     model = make_linear_model(spec)
     worst = 0.0
     for seed in range(5):
-        y = sample_data(model, spec.mu_theta, RandomStream(64).child(seed))
+        y = simulate_data(model, spec.mu_theta, RandomStream(64).child(seed))
         fit = laplace_density(model, spec.mu_theta, y)
         se_inv = np.linalg.inv(spec.Sigma_eps)
         st_inv = np.linalg.inv(spec.Sigma_theta)

@@ -12,12 +12,14 @@ from eig_mlmc import (
     RandomStream,
     fd_hessian,
     fd_jacobian,
-    log_likelihood,
     make_linear_model,
     make_pk_model,
-    sample_data,
 )
+from eig_mlmc.bayes import response_log_likelihood
+from eig_mlmc.estimators import _draw_outer
 from eig_mlmc.models import PkSpec
+
+from conftest import log_likelihood, simulate_data
 
 
 def scalar_model(g_const=0.0):
@@ -33,7 +35,7 @@ def scalar_model(g_const=0.0):
 
 def test_standard_normal_at_mode():
     model = scalar_model()
-    val = log_likelihood(model, np.zeros(1), np.zeros(1))
+    val = log_likelihood(model, np.zeros(1), np.zeros(1))[0]
     assert val == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-12)
     assert val == pytest.approx(-0.918939, abs=1e-6)
 
@@ -42,7 +44,7 @@ def test_zero_residual_gives_block_log_norm_const(linear_model, linear_spec):
     theta = np.array([0.4, -1.3])
     y = np.tile(linear_spec.A @ theta, linear_model.replicates)
     expected = linear_model.replicates * linear_model.noise.log_norm_const
-    assert log_likelihood(linear_model, theta, y) == pytest.approx(expected, abs=1e-12)
+    assert log_likelihood(linear_model, theta, y)[0] == pytest.approx(expected, abs=1e-12)
 
 
 def _det3(m):
@@ -55,12 +57,14 @@ def _det3(m):
 
 
 def test_reference_linear_value_against_dense_oracle(linear_model, linear_spec):
+    # The likelihood kernel itself, on the response g = A theta.
     theta = np.array([1.0, 0.0])
+    g = (linear_spec.A @ theta)[None, None]
     y = linear_spec.A @ theta
     det = _det3(linear_spec.Sigma_eps)
     assert det == pytest.approx(5e-4, rel=1e-12)
     oracle = -1.5 * math.log(2 * math.pi) - 0.5 * math.log(det)
-    val = log_likelihood(linear_model, theta, y)
+    val = response_log_likelihood(linear_model, g, y[None])[0, 0]
     assert val == pytest.approx(oracle, abs=1e-12)
     assert val == pytest.approx(1.0436356, abs=1e-6)
 
@@ -68,7 +72,8 @@ def test_reference_linear_value_against_dense_oracle(linear_model, linear_spec):
     y2 = y + np.array([0.1, -0.2, 0.05])
     r = y2 - linear_spec.A @ theta
     quad = r @ np.linalg.inv(linear_spec.Sigma_eps) @ r
-    assert log_likelihood(linear_model, theta, y2) == pytest.approx(oracle - 0.5 * quad, rel=1e-12)
+    val2 = response_log_likelihood(linear_model, g, y2[None])[0, 0]
+    assert val2 == pytest.approx(oracle - 0.5 * quad, rel=1e-12)
 
 
 def test_log_likelihood_batched_matches_loop(linear_model):
@@ -76,7 +81,7 @@ def test_log_likelihood_batched_matches_loop(linear_model):
     thetas = rng.standard_normal((6, 2))
     y = rng.standard_normal(3)
     batch = log_likelihood(linear_model, thetas, y)
-    singles = [log_likelihood(linear_model, t, y) for t in thetas]
+    singles = [log_likelihood(linear_model, t, y)[0] for t in thetas]
     assert np.allclose(batch, singles, rtol=1e-14)
 
 
@@ -87,17 +92,19 @@ def test_replicates_sum_per_block():
     rng = np.random.default_rng(5)
     y = rng.standard_normal(9)
     single = make_linear_model(LinearGaussianSpec(n_e=1))
-    total = sum(log_likelihood(single, theta, y[3 * i: 3 * i + 3]) for i in range(3))
-    assert log_likelihood(model, theta, y) == pytest.approx(total, rel=1e-13)
+    total = sum(log_likelihood(single, theta, y[3 * i: 3 * i + 3])[0] for i in range(3))
+    assert log_likelihood(model, theta, y)[0] == pytest.approx(total, rel=1e-13)
 
 
 def test_dimension_mismatch_rejected(linear_model):
+    # a theta of the wrong dimension fails in the forward map, data of the
+    # wrong length in the likelihood kernel
     with pytest.raises(ValueError):
         log_likelihood(linear_model, np.zeros(3), np.zeros(3))
     with pytest.raises(ValueError):
         log_likelihood(linear_model, np.zeros(2), np.zeros(4))
     with pytest.raises(ValueError):
-        sample_data(linear_model, np.zeros(3), RandomStream(0))
+        simulate_data(linear_model, np.zeros(3), RandomStream(0))
 
 
 def test_density_normalisation_by_monte_carlo(oned_model):
@@ -108,7 +115,7 @@ def test_density_normalisation_by_monte_carlo(oned_model):
     ys = rng.standard_normal((n, 1))
     logq = -0.5 * ys[:, 0] ** 2 - 0.5 * math.log(2 * math.pi)
     loglik = np.array(
-        [log_likelihood(oned_model, theta, ys[k]) for k in range(0, n, n // 50)]
+        [log_likelihood(oned_model, theta, ys[k])[0] for k in range(0, n, n // 50)]
     )
     # Spot-check the package likelihood against the scalar formula, then use
     # the vectorised formula for the full average.
@@ -125,29 +132,28 @@ def test_sign_flip_invariance(linear_spec, linear_model):
     theta = np.array([0.8, -0.4])
     rng = np.random.default_rng(3)
     y = rng.standard_normal(3)
-    a = log_likelihood(linear_model, theta, y)
-    b = log_likelihood(flipped, theta, -y)
+    a = log_likelihood(linear_model, theta, y)[0]
+    b = log_likelihood(flipped, theta, -y)[0]
     assert a == pytest.approx(b, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
-# sample_data
+# Data simulation: the outer draws of the sampler (estimators._draw_outer)
 # ---------------------------------------------------------------------------
 
 
 def test_sample_data_vanishing_noise():
     spec = LinearGaussianSpec(Sigma_eps=1e-30 * np.eye(3))
     model = make_linear_model(spec)
-    theta = np.array([1.0, 0.5])
-    y = sample_data(model, theta, RandomStream(9))
-    assert np.max(np.abs(y - spec.A @ theta)) <= 1e-10
+    theta, _, y, _ = _draw_outer(model, 1, 4, RandomStream(9).generator())
+    assert np.max(np.abs(y - theta @ spec.A.T)) <= 1e-10
 
 
 def test_sample_data_reproducible(linear_model):
     s = RandomStream(21).child(5)
-    a = sample_data(linear_model, np.array([1.0, 0.0]), s)
-    b = sample_data(linear_model, np.array([1.0, 0.0]), s)
-    assert np.array_equal(a, b)
+    a = _draw_outer(linear_model, 2, 3, s.generator())
+    b = _draw_outer(linear_model, 2, 3, s.generator())
+    assert all(np.array_equal(u, v) for u, v in zip(a, b))
 
 
 def _manual_cholesky(m):
@@ -164,14 +170,17 @@ def _manual_cholesky(m):
 def test_sample_data_colored_noise_replay(linear_spec):
     spec = LinearGaussianSpec(n_e=2)
     model = make_linear_model(spec)
-    theta = np.array([1.0, 0.0])
     stream = RandomStream(33).child(2, 4)
-    y = sample_data(model, theta, stream)
+    theta, _, y, _ = _draw_outer(model, 1, 3, stream.generator())
 
-    # Replay the raw normal draws and colour them independently.
-    z = stream.generator().standard_normal((2, 3))
+    # Replay the raw normal draws (prior, then noise) and colour them independently.
+    rng = stream.generator()
+    z_prior = rng.standard_normal((3, 2))
+    z = rng.standard_normal((3, 2, 3))
+    l_theta = _manual_cholesky(spec.Sigma_theta)
+    assert np.allclose(theta, [spec.mu_theta + l_theta @ zp for zp in z_prior], rtol=0, atol=1e-13)
     l = _manual_cholesky(spec.Sigma_eps)
-    expected = np.concatenate([spec.A @ theta + l @ z[i] for i in range(2)])
+    expected = [np.concatenate([spec.A @ theta[k] + l @ z[k, i] for i in range(2)]) for k in range(3)]
     assert np.allclose(y, expected, rtol=0, atol=1e-13)
 
 

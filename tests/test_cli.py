@@ -12,7 +12,6 @@ from eig_mlmc.cli import (
     parse_config,
     run_estimate,
     run_rate_study,
-    serialize_config,
 )
 
 
@@ -44,8 +43,9 @@ def test_syntax_error_reports_position():
 
 
 def test_negative_eps_names_key():
-    with pytest.raises(ConfigError, match="eps"):
-        parse_config(minimal(eps=[-0.01]))
+    for eps in ([-0.01], [float("inf")]):  # json reads Infinity
+        with pytest.raises(ConfigError, match="eps"):
+            parse_config(minimal(eps=eps))
 
 
 def test_unknown_key_rejected():
@@ -63,23 +63,17 @@ def test_eps_sorted_descending():
     assert cfg.eps == (0.02, 0.01, 0.005)
 
 
-def test_reference_linear_config_roundtrip():
-    text = minimal(
-        model_params={
-            "A": [[1, 2], [2, 3], [3, 4]],
-            "mu_theta": [1, 0],
-            "Sigma_theta": [[2, -1], [-1, 2]],
-            "Sigma_eps": [[0.1, -0.05, 0], [-0.05, 0.1, -0.05], [0, -0.05, 0.1]],
-            "N_e": 1,
-        },
-        eps=[0.02, 0.005],
-        seed=77,
-        omega=0.3,
-    )
-    cfg = parse_config(text)
-    again = parse_config(serialize_config(cfg))
-    assert again == cfg
-    assert json.loads(serialize_config(again)) == json.loads(serialize_config(cfg))
+def test_reference_linear_config_fields():
+    params = {
+        "A": [[1, 2], [2, 3], [3, 4]],
+        "mu_theta": [1, 0],
+        "Sigma_theta": [[2, -1], [-1, 2]],
+        "Sigma_eps": [[0.1, -0.05, 0], [-0.05, 0.1, -0.05], [0, -0.05, 0.1]],
+        "N_e": 1,
+    }
+    cfg = parse_config(minimal(model_params=params, eps=[0.005, 0.02], seed=77, omega=0.3))
+    assert cfg == RunConfig(model="linear", estimator="mlmc", eps=(0.02, 0.005), seed=77,
+                            model_params=params, omega=0.3)
 
 
 def test_pk_config_builds_model():
@@ -193,6 +187,15 @@ def test_main_config_error_exit_2(tmp_path, capsys):
     cfgfile = write_cfg(tmp_path, minimal(eps=[0.0]))
     assert main(["--config", cfgfile]) == 2
     assert "eps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [None, "", 3], ids=["null", "empty", "number"])
+def test_main_output_dir_not_a_string_exit_2(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.chdir(tmp_path)
+    cfgfile = write_cfg(tmp_path, minimal(eps=[0.05], output_dir=value))
+    assert main(["--config", cfgfile]) == 2
+    assert "invalid value for 'output_dir'" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_main_missing_config_exit_4(tmp_path, capsys):

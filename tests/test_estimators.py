@@ -17,7 +17,6 @@ from eig_mlmc import (
     sample_level_values,
     sample_p_values,
 )
-from eig_mlmc.bayes import log_likelihood
 from eig_mlmc.estimators import (
     _draw_outer,
     _inner_logweights,
@@ -26,7 +25,7 @@ from eig_mlmc.estimators import (
     stats_from_values,
 )
 
-from conftest import one_value, plain_difference, point_mass_model
+from conftest import log_likelihood, one_value, plain_difference, point_mass_model
 
 NO_IS = EstimatorConfig(m0=1, use_is=False)
 WITH_IS = EstimatorConfig(m0=1, use_is=True)

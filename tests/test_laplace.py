@@ -4,16 +4,13 @@ import numpy as np
 import pytest
 
 from eig_mlmc import (
-    EvaluationError,
     BayesModel,
     ForwardMap,
     GaussianDensity,
     LinearGaussianSpec,
     RandomStream,
-    log_likelihood,
     make_linear_model,
     make_pk_model,
-    sample_data,
 )
 from eig_mlmc import laplace
 from eig_mlmc.estimators import _inner_logweights
@@ -21,7 +18,7 @@ from eig_mlmc.gaussian import safeguarded_cholesky
 from eig_mlmc.laplace import _chol_batch, fit_batch
 from eig_mlmc.models import PkSpec
 
-from conftest import laplace_density
+from conftest import laplace_density, log_likelihood, simulate_data
 
 
 def exact_linear_posterior(spec, y):
@@ -35,7 +32,7 @@ def exact_linear_posterior(spec, y):
 
 
 def test_linear_fit_equals_exact_posterior(linear_spec, linear_model):
-    y = sample_data(linear_model, linear_spec.mu_theta, RandomStream(4))
+    y = simulate_data(linear_model, linear_spec.mu_theta, RandomStream(4))
     fit = laplace_density(linear_model, linear_spec.mu_theta, y)
     mean, cov = exact_linear_posterior(linear_spec, y)
     assert np.max(np.abs(fit.mean - mean)) <= 1e-10
@@ -45,7 +42,7 @@ def test_linear_fit_equals_exact_posterior(linear_spec, linear_model):
 def test_linear_fit_with_replicates():
     spec = LinearGaussianSpec(n_e=4)
     model = make_linear_model(spec)
-    y = sample_data(model, spec.mu_theta, RandomStream(14))
+    y = simulate_data(model, spec.mu_theta, RandomStream(14))
     fit = laplace_density(model, spec.mu_theta, y)
     mean, cov = exact_linear_posterior(spec, y)
     assert np.max(np.abs(fit.mean - mean)) <= 1e-10
@@ -69,11 +66,11 @@ def test_log_is_weight_against_prior_proposal(linear_spec, linear_model):
     prior = linear_model.prior
     z = np.linalg.solve(prior.chol, theta - prior.mean)
     w = _inner_logweights(linear_model, theta[None], y[None], z[None, None], use_is=False)[0, 0]
-    assert w == pytest.approx(log_likelihood(linear_model, theta, y), rel=1e-13)
+    assert w == pytest.approx(log_likelihood(linear_model, theta, y)[0], rel=1e-13)
 
 
 def test_log_is_weight_composes_three_densities(linear_spec, linear_model):
-    y = sample_data(linear_model, linear_spec.mu_theta, RandomStream(6))
+    y = simulate_data(linear_model, linear_spec.mu_theta, RandomStream(6))
     fit = laplace_density(linear_model, linear_spec.mu_theta, y)
     theta = fit.mean
 
@@ -97,7 +94,7 @@ def test_log_is_weight_composes_three_densities(linear_spec, linear_model):
 
 def test_weight_expectation_recovers_evidence(oned_spec, oned_model):
     theta_star = np.array([0.6])
-    y = sample_data(oned_model, theta_star, RandomStream(8))
+    y = simulate_data(oned_model, theta_star, RandomStream(8))
     fit = laplace_density(oned_model, theta_star, y)
     rng = RandomStream(9).generator()
     thetas = fit.sample(rng, size=100_000)
@@ -118,22 +115,23 @@ def test_pk_fit_lands_in_posterior_bulk():
     spec = PkSpec()
     model = make_pk_model(spec)
     theta_star = model.prior.mean.copy()
-    y = sample_data(model, theta_star, RandomStream(11))
+    y = simulate_data(model, theta_star, RandomStream(11))
     fit = laplace_density(model, theta_star, y)
     assert np.all(np.linalg.eigvalsh(fit.cov) > 0.0)
 
-    def log_post(x):
+    def log_post(x):  # points (n, d)
         return log_likelihood(model, x, y) + model.prior.log_pdf(x)
 
-    assert log_post(fit.mean) >= log_post(theta_star) - 10.0
+    at_fit, at_star = log_post(np.stack([fit.mean, theta_star]))
+    assert at_fit >= at_star - 10.0
 
     # Dense lattice over +-4 prior sd in each log parameter: the fitted mean
     # should not be beaten by any grid point by more than a hair.
     sd = math.sqrt(0.05)
     axes = [np.linspace(m - 4 * sd, m + 4 * sd, 25) for m in theta_star]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-    vals = log_likelihood(model, grid, y) + model.prior.log_pdf(grid)
-    assert log_post(fit.mean) >= np.max(vals) - 0.5
+    vals = log_post(grid)
+    assert at_fit >= np.max(vals) - 0.5
     # and the fit's mean is close to the lattice argmax
     assert np.max(np.abs(grid[np.argmax(vals)] - fit.mean)) <= 2 * (8 * sd / 24)
 
@@ -172,22 +170,50 @@ def test_chol_batch_retries_only_failing_rows(monkeypatch):
     assert np.array_equal(chols[others], np.linalg.cholesky(mats[others]))
 
 
-def test_non_finite_derivatives_raise(linear_spec):
+def test_non_finite_derivatives_mark_rows_unfit(linear_spec):
     def bad_jac(theta):
         return np.full(theta.shape[:-1] + (3, 2), np.nan)
 
     model = make_linear_model(linear_spec)
     fwd = ForwardMap(fn=model.forward.fn, out_dim=3, jac=bad_jac, hess=model.forward.hess)
     broken = BayesModel(prior=model.prior, forward=fwd, noise=model.noise)
-    with pytest.raises(EvaluationError):
-        fit_batch(broken, linear_spec.mu_theta[None], np.zeros((1, 3)))
+    fits = fit_batch(broken, linear_spec.mu_theta[None], np.zeros((1, 3)))
+    assert fits.unfit.tolist() == [True]
+    assert np.array_equal(fits.theta_hat[0], linear_spec.mu_theta)
+    assert np.array_equal(fits.chol_prec[0], np.linalg.cholesky(model.prior.precision))
+
+
+def test_unfit_row_leaves_the_other_rows_bit_identical():
+    # One row's Jacobian at theta* is NaN: only that row is unfit, and every
+    # other row is fitted exactly as under the intact model.
+    model = make_pk_model(PkSpec())
+    fwd = model.forward
+    theta = model.prior.sample(RandomStream(17).generator(), size=6)
+    y = np.stack([simulate_data(model, t, RandomStream(18).child(i)) for i, t in enumerate(theta)])
+
+    def patchy_jac(x):
+        out = fwd.jac(x)
+        out[np.all(x == theta[2], axis=-1)] = np.nan
+        return out
+
+    patchy = BayesModel(model.prior, ForwardMap(fn=fwd.fn, out_dim=fwd.out_dim, jac=patchy_jac,
+                                                hess=fwd.hess), model.noise)
+    fits = fit_batch(patchy, theta, y)
+    intact = fit_batch(model, theta, y)
+    assert fits.unfit.tolist() == [False, False, True, False, False, False]
+    assert not np.any(intact.unfit)
+    others = [0, 1, 3, 4, 5]
+    assert np.array_equal(fits.theta_hat[others], intact.theta_hat[others])
+    assert np.array_equal(fits.chol_prec[others], intact.chol_prec[others])
+    assert np.array_equal(fits.theta_hat[2], theta[2])
+    assert np.array_equal(fits.chol_prec[2], np.linalg.cholesky(model.prior.precision))
 
 
 def test_fit_batch_matches_single(linear_spec, linear_model):
     rng = RandomStream(15).generator()
     thetas = linear_model.prior.sample(rng, size=5)
     ys = np.stack([
-        sample_data(linear_model, t, RandomStream(16).child(i)) for i, t in enumerate(thetas)
+        simulate_data(linear_model, t, RandomStream(16).child(i)) for i, t in enumerate(thetas)
     ])
     batch = fit_batch(linear_model, thetas, ys)
     for i in range(5):
