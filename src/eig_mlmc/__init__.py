@@ -16,12 +16,7 @@ from .adaptive import (
     run_adaptive,
 )
 from .bayes import BayesModel, ForwardMap, fd_hessian, fd_jacobian
-from .errors import (
-    EvaluationError,
-    InnerUnderflowError,
-    InsufficientDataError,
-    NonConvergenceError,
-)
+from .errors import InnerUnderflowError, NonConvergenceError
 from .estimators import (
     EstimatorConfig,
     LevelStats,
@@ -47,11 +42,9 @@ __all__ = [
     "AdaptiveConfig",
     "BayesModel",
     "EstimatorConfig",
-    "EvaluationError",
     "ForwardMap",
     "GaussianDensity",
     "InnerUnderflowError",
-    "InsufficientDataError",
     "LevelStats",
     "LinearGaussianSpec",
     "MlmcRunResult",

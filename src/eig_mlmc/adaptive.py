@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bayes import BayesModel
-from .errors import InsufficientDataError, NonConvergenceError
+from .errors import NonConvergenceError
 from .estimators import (
     EstimatorConfig,
     LevelStats,
@@ -123,16 +123,18 @@ def estimate_rates(level_means, level_vars) -> tuple[float, float]:
     """Least-squares decay rates from correction levels 1..L.
 
     ``level_means[i]`` and ``level_vars[i]`` belong to level i + 1.  Fits
-    log2|mean| and log2 var against the level index; alpha_hat is clamped
-    below at 0.5 so a noisy near-zero slope cannot shrink the bias-test
-    denominator.
+    log2|mean| and log2 var against the level index over the usable levels,
+    those with a finite non-zero mean and a finite positive variance;
+    alpha_hat is clamped below at 0.5 so a noisy near-zero slope cannot
+    shrink the bias-test denominator.  With fewer than two usable levels the
+    rates cannot be fitted and both are nan.
     """
     means = np.asarray(level_means, dtype=float)
     variances = np.asarray(level_vars, dtype=float)
     levels = np.arange(1, means.size + 1, dtype=float)
     usable = (np.abs(means) > 0.0) & (variances > 0.0) & np.isfinite(means) & np.isfinite(variances)
     if np.count_nonzero(usable) < 2:
-        raise InsufficientDataError("need at least two usable correction levels")
+        return math.nan, math.nan
     x = levels[usable]
     alpha = -np.polyfit(x, np.log2(np.abs(means[usable])), 1)[0]
     beta = -np.polyfit(x, np.log2(variances[usable]), 1)[0]
@@ -140,15 +142,18 @@ def estimate_rates(level_means, level_vars) -> tuple[float, float]:
 
 
 def bias_converged(mean_zl: float, alpha_hat: float, eps: float, omega: float) -> bool:
-    """Remaining-bias test |mean Z_L| / (2^alpha - 1) <= sqrt(omega) * eps."""
+    """Remaining-bias test |mean Z_L| / (2^alpha - 1) <= sqrt(omega) * eps.
+
+    A nan ``alpha_hat`` (rates not fitted) fails the test.
+    """
     return abs(mean_zl) / (2.0 ** alpha_hat - 1.0) <= math.sqrt(omega) * eps
 
 
 def nmc_cost_model(var_pl: float, c_l: float, eps: float, omega: float) -> float:
     """Cost for a single-level nested estimator at accuracy eps:
-    C_L * var(P_L) / ((1 - omega) * eps^2)."""
-    if var_pl <= 0.0 or c_l <= 0.0 or eps <= 0.0:
-        raise ValueError("inputs must be positive")
+    C_L * var(P_L) / ((1 - omega) * eps^2).  A zero variance costs 0."""
+    if var_pl < 0.0 or c_l <= 0.0 or eps <= 0.0:
+        raise ValueError("var_pl must be >= 0, c_l and eps > 0")
     return c_l * var_pl / ((1.0 - omega) * eps * eps)
 
 
@@ -167,48 +172,38 @@ def run_adaptive(
     omega = adapt_config.omega
     stream = RandomStream(adapt_config.seed)
 
-    levels = list(range(adapt_config.l0 + 1))
-    stats: dict[int, LevelStats] = {l: LevelStats(level=l) for l in levels}
-    targets = {l: adapt_config.n_star for l in levels}
+    # Per-level state, indexed by level: levels are always 0..top.
+    stats = [LevelStats()] * (adapt_config.l0 + 1)
+    targets = [adapt_config.n_star] * len(stats)
     trace: list[RoundRecord] = []
 
     def cost_of(level: int) -> float:
         return per_sample_cost(model, est_config.inner_count(level), est_config.use_is)
 
     for round_idx in range(MAX_ROUNDS):
-        for l in levels:
-            need = targets[l] - stats[l].count
+        for l, s in enumerate(stats):
+            need = targets[l] - s.count
             if need > 0:
-                vals = sample_level_values(model, est_config, l, stats[l].count, need, stream)
-                stats[l] = merge(stats[l], stats_from_values(vals, cost_of(l), l))
+                vals = sample_level_values(model, est_config, l, s.count, need, stream)
+                stats[l] = merge(s, stats_from_values(vals))
 
         alloc = optimal_allocation(
-            [stats[l].variance for l in levels], [cost_of(l) for l in levels], eps, omega,
+            [s.variance for s in stats], [cost_of(l) for l in range(len(stats))], eps, omega,
         )
-        targets = {l: int(alloc[i]) for i, l in enumerate(levels)}
-        need_more = any(targets[l] > stats[l].count for l in levels)
+        targets = [int(n) for n in alloc]
+        need_more = any(n > s.count for n, s in zip(targets, stats))
 
-        top = levels[-1]
-        corr_means = [stats[l].mean for l in levels[1:]]
-        corr_vars = [stats[l].variance for l in levels[1:]]
-        alpha_hat = math.nan
-        enough = sum(1 for l in levels[1:] if stats[l].count >= 2) >= 2
-        if stats[top].mean == 0.0:
-            bias_ok = True
-        elif not enough:
-            bias_ok = False
-        else:
-            try:
-                alpha_hat, _ = estimate_rates(corr_means, corr_vars)
-                bias_ok = bias_converged(stats[top].mean, alpha_hat, eps, omega)
-            except InsufficientDataError:
-                bias_ok = False
+        top = len(stats) - 1
+        alpha_hat, beta_hat = estimate_rates(
+            [s.mean for s in stats[1:]], [s.variance for s in stats[1:]],
+        )
+        bias_ok = stats[top].mean == 0.0 or bias_converged(stats[top].mean, alpha_hat, eps, omega)
 
         trace.append(RoundRecord(
             round=round_idx,
             max_level=top,
-            drawn=tuple(stats[l].count for l in levels),
-            allocation=tuple(targets[l] for l in levels),
+            drawn=tuple(s.count for s in stats),
+            allocation=tuple(targets),
             alpha_hat=alpha_hat,
             bias_ok=bias_ok,
         ))
@@ -216,32 +211,22 @@ def run_adaptive(
         if not need_more:
             if bias_ok:
                 break
-            new_level = top + 1
-            if new_level > adapt_config.l_max:
+            if top >= adapt_config.l_max:
                 raise NonConvergenceError(
                     f"bias test still failing at the level cap {adapt_config.l_max}", trace,
                 )
-            levels.append(new_level)
-            stats[new_level] = LevelStats(level=new_level)
-            targets[new_level] = adapt_config.n_star
+            stats.append(LevelStats())
+            targets.append(adapt_config.n_star)
     else:
         raise NonConvergenceError(f"no convergence within {MAX_ROUNDS} allocation rounds", trace)
-
-    try:
-        alpha_hat, beta_hat = estimate_rates(
-            [stats[l].mean for l in levels[1:]],
-            [stats[l].variance for l in levels[1:]],
-        )
-    except InsufficientDataError:
-        alpha_hat = beta_hat = math.nan
 
     # Sample kurtosis drives the standard error of a variance estimate,
     # roughly sqrt((kurtosis - 1) / n); flag levels where that exceeds 50%.
     shaky = [
-        l for l in levels
-        if stats[l].count >= 8
-        and math.isfinite(stats[l].kurtosis)
-        and math.sqrt(max(stats[l].kurtosis - 1.0, 0.0) / stats[l].count) > 0.5
+        l for l, s in enumerate(stats)
+        if s.count >= 8
+        and math.isfinite(s.kurtosis)
+        and math.sqrt(max(s.kurtosis - 1.0, 0.0) / s.count) > 0.5
     ]
     if shaky:
         warnings.warn(
@@ -253,21 +238,21 @@ def run_adaptive(
     records = tuple(
         LevelRecord(
             level=l,
-            n_samples=stats[l].count,
-            mean=stats[l].mean,
-            variance=stats[l].variance,
-            kurtosis=stats[l].kurtosis,
+            n_samples=s.count,
+            mean=s.mean,
+            variance=s.variance,
+            kurtosis=s.kurtosis,
             cost_per_sample=cost_of(l),
-            total_cost=stats[l].total_cost,
+            total_cost=s.count * cost_of(l),
         )
-        for l in levels
+        for l, s in enumerate(stats)
     )
     return MlmcRunResult(
-        estimate=float(sum(stats[l].mean for l in levels)),
+        estimate=float(sum(s.mean for s in stats)),
         eps=eps,
         levels=records,
         alpha_hat=alpha_hat,
         beta_hat=beta_hat,
-        total_cost=float(sum(stats[l].total_cost for l in levels)),
+        total_cost=float(sum(r.total_cost for r in records)),
         iterations=tuple(trace),
     )

@@ -13,7 +13,6 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import EvaluationError
 from .gaussian import GaussianDensity
 
 __all__ = [
@@ -34,12 +33,11 @@ _FD_STEP_HESS = float(np.finfo(float).eps ** (1.0 / 4.0))
 class ForwardMap:
     """Deterministic model response theta -> g(theta).
 
-    ``fn`` must be vectorised over a leading batch axis: it maps (d,) -> (w,)
-    and (n, d) -> (n, w).  ``jac`` and ``hess`` are optional analytic
-    derivatives of g (plain derivatives, no sign convention applied), with the
-    same batch behaviour, returning (..., w, d) and (..., w, d, d).  Without
-    them, :func:`fd_jacobian` and :func:`fd_hessian` difference a whole batch
-    at once and return NaN for a row whose stencil meets a non-finite value.
+    ``fn`` maps a batch (n, d) to (n, w).  ``jac`` and ``hess`` are optional
+    analytic derivatives of g (plain derivatives, no sign convention
+    applied), mapping a batch (n, d) to (n, w, d) and (n, w, d, d).  Without
+    them, :func:`fd_jacobian` and :func:`fd_hessian` difference the batch at
+    once and return NaN for a row whose stencil meets a non-finite value.
     ``cost_units`` is the bookkeeping price of one evaluation.
     """
 
@@ -112,8 +110,7 @@ def _fd_eval(forward: ForwardMap, pts: np.ndarray, bad: np.ndarray) -> np.ndarra
 
 def _central_differences(forward: ForwardMap, theta: np.ndarray, order: int) -> np.ndarray:
     """The stencil of fd_jacobian (order 1) or fd_hessian (order 2)."""
-    theta = np.asarray(theta, dtype=float)
-    x = np.atleast_2d(theta)
+    x = np.asarray(theta, dtype=float)
     n, d = x.shape
     bad = np.zeros(n, dtype=bool)
     h = (_FD_STEP_JAC if order == 1 else _FD_STEP_HESS) * np.maximum(1.0, np.abs(x))
@@ -135,26 +132,23 @@ def _central_differences(forward: ForwardMap, theta: np.ndarray, order: int) -> 
             hij = (fpp - fpm - fmp + fmm) / (4.0 * h[:, i:i + 1] * h[:, j:j + 1])
             out[:, :, i, j] = out[:, :, j, i] = hij
     out[bad] = np.nan
-    if theta.ndim == 1 and bad[0]:
-        raise EvaluationError("forward map returned a non-finite value")
-    return out if theta.ndim == 2 else out[0]
+    return out
 
 
 def fd_jacobian(forward: ForwardMap, theta: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian of g: (w, d) at a point (d,), (n, w, d) for
-    a batch (n, d).  Steps h_i = c * max(1, |theta_i|) with c = eps^(1/3); the
-    2d points of every row go through one forward evaluation.  A batch row
-    whose stencil meets a non-finite value is all NaN; a single point raises
-    :class:`EvaluationError` instead.
+    """Central-difference Jacobian of g, (n, w, d) for a batch (n, d).
+    Steps h_i = c * max(1, |theta_i|) with c = eps^(1/3); the 2d points of
+    every row go through one forward evaluation.  A row whose stencil meets
+    a non-finite value is all NaN.
     """
     return _central_differences(forward, theta, order=1)
 
 
 def fd_hessian(forward: ForwardMap, theta: np.ndarray) -> np.ndarray:
-    """Central-difference Hessian tensor of g: (w, d, d) at a point (d,),
-    (n, w, d, d) for a batch (n, d).  Steps as in :func:`fd_jacobian` with
-    c = eps^(1/4).  Each group of a row's 2d^2 + 1 points goes through one
-    evaluation: the 2d diagonal points, the centre, and the four corners of
-    each pair i < j.  Non-finite rows as in :func:`fd_jacobian`.
+    """Central-difference Hessian tensor of g, (n, w, d, d) for a batch
+    (n, d).  Steps as in :func:`fd_jacobian` with c = eps^(1/4).  Each group
+    of a row's 2d^2 + 1 points goes through one evaluation: the 2d diagonal
+    points, the centre, and the four corners of each pair i < j.  Non-finite
+    rows as in :func:`fd_jacobian`.
     """
     return _central_differences(forward, theta, order=2)

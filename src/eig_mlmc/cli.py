@@ -26,7 +26,7 @@ import numpy as np
 
 from .adaptive import AdaptiveConfig, estimate_rates, nmc_cost_model, run_adaptive
 from .bayes import BayesModel
-from .errors import InsufficientDataError, NonConvergenceError
+from .errors import NonConvergenceError
 from .estimators import (
     EstimatorConfig,
     nmc_estimate,
@@ -67,6 +67,12 @@ def _integer(key: str, value, minimum: int) -> int:
     if not (_is_number(value) and (isinstance(value, int) or value.is_integer()) and value >= minimum):
         raise ConfigError(f"invalid value for {key!r}: must be an integer >= {minimum}")
     return int(value)
+
+
+def _non_empty_string(key: str, value) -> str:
+    if not (isinstance(value, str) and value):
+        raise ConfigError(f"invalid value for {key!r}: must be a non-empty string")
+    return value
 
 
 def _numeric_array(key: str, value) -> np.ndarray:
@@ -205,9 +211,7 @@ def parse_config(text: str) -> RunConfig:
         fail("is_enabled", "must be a boolean")
     diagnostics_levels = _integer("diagnostics_levels", raw.get("diagnostics_levels", 8), 1)
     diagnostics_samples = _integer("diagnostics_samples", raw.get("diagnostics_samples", 20000), 2)
-    output_dir = raw.get("output_dir", ".")
-    if not (isinstance(output_dir, str) and output_dir):
-        fail("output_dir", "must be a non-empty string")
+    output_dir = _non_empty_string("output_dir", raw.get("output_dir", "."))
 
     return RunConfig(
         model=model,
@@ -268,7 +272,7 @@ def run_rate_study(config: RunConfig) -> list[Path]:
         pv = sample_p_values(model, m, 0, n, stream, use_is=est.use_is)
         zv = sample_level_values(model, est, level, 0, n, stream)
         cost = per_sample_cost(model, m, est.use_is)
-        zs = stats_from_values(zv, cost, level)
+        zs = stats_from_values(zv)
         rows.append((
             level,
             float(np.mean(pv)), float(np.var(pv, ddof=1)),
@@ -278,10 +282,7 @@ def run_rate_study(config: RunConfig) -> list[Path]:
             corr_means.append(zs.mean)
             corr_vars.append(zs.variance)
 
-    try:
-        alpha_hat, beta_hat = estimate_rates(corr_means, corr_vars)
-    except InsufficientDataError:
-        alpha_hat = beta_hat = math.nan
+    alpha_hat, beta_hat = estimate_rates(corr_means, corr_vars)
 
     levels_path = out / "levels.csv"
     _write_atomic(levels_path, _csv(rows, "level,mean_P,var_P,mean_Z,var_Z,kurt_Z,cost"))
@@ -310,7 +311,7 @@ def _pilot_nmc_plan(model, est, config, eps, stream):
     alpha_hat, _ = estimate_rates(means, variances)
     target = math.sqrt(config.omega) * eps * (2.0 ** alpha_hat - 1.0)
     top = 4
-    level = top
+    level = top  # stays at top when the rates cannot be fitted (alpha_hat nan)
     predicted = abs(means[-1])
     while predicted > target and level < config.l_max:
         level += 1
@@ -390,12 +391,11 @@ def main(argv: list[str] | None = None) -> int:
         config = parse_config(text)
         if args.seed is not None:
             config = dataclasses.replace(config, seed=_integer("seed", args.seed, 0))
+        if args.output_dir is not None:
+            config = dataclasses.replace(config, output_dir=_non_empty_string("output_dir", args.output_dir))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if args.output_dir is not None:
-        config = dataclasses.replace(config, output_dir=args.output_dir)
 
     try:
         if args.mode == "rate-study":

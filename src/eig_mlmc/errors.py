@@ -1,8 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
 
-
-class EvaluationError(RuntimeError):
-    """A forward map or derivative evaluation produced a non-finite value."""
+An inner underflow and non-convergence of the adaptive driver raise.  A
+non-finite derivative puts its outer sample on the prior fallback instead,
+and decay rates that cannot be fitted are nan.
+"""
 
 
 class InnerUnderflowError(RuntimeError):
@@ -16,10 +17,6 @@ class InnerUnderflowError(RuntimeError):
         super().__init__(
             f"all inner log-weights are -inf for outer sample {outer_index}"
         )
-
-
-class InsufficientDataError(RuntimeError):
-    """Fewer than two usable correction levels for the rate regression."""
 
 
 class NonConvergenceError(RuntimeError):

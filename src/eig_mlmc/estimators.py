@@ -65,15 +65,16 @@ class EstimatorConfig:
 
 @dataclass(frozen=True)
 class LevelStats:
-    """Streaming power sums of level values, mergeable across spans."""
+    """Count and power sums 1-4 of a level's values, mergeable across spans.
+
+    Moments only: the level and its cost are known to the caller.
+    """
 
     count: int = 0
     sum1: float = 0.0
     sum2: float = 0.0
     sum3: float = 0.0
     sum4: float = 0.0
-    total_cost: float = 0.0
-    level: int | None = None
 
     @property
     def mean(self) -> float:
@@ -99,20 +100,17 @@ class LevelStats:
 
 
 def merge(a: LevelStats, b: LevelStats) -> LevelStats:
-    if a.level is not None and b.level is not None and a.level != b.level:
-        raise ValueError("cannot merge stats for different levels")
     return LevelStats(
         count=a.count + b.count,
         sum1=a.sum1 + b.sum1,
         sum2=a.sum2 + b.sum2,
         sum3=a.sum3 + b.sum3,
         sum4=a.sum4 + b.sum4,
-        total_cost=a.total_cost + b.total_cost,
-        level=a.level if a.level is not None else b.level,
     )
 
 
-def stats_from_values(values: np.ndarray, cost_each: float, level: int | None = None) -> LevelStats:
+def stats_from_values(values: np.ndarray) -> LevelStats:
+    """Count and power sums of a batch of values."""
     v = np.asarray(values, dtype=float)
     return LevelStats(
         count=v.size,
@@ -120,8 +118,6 @@ def stats_from_values(values: np.ndarray, cost_each: float, level: int | None = 
         sum2=float(np.sum(v ** 2)),
         sum3=float(np.sum(v ** 3)),
         sum4=float(np.sum(v ** 4)),
-        total_cost=cost_each * v.size,
-        level=level,
     )
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from eig_mlmc import (
     AdaptiveConfig,
     EstimatorConfig,
-    InsufficientDataError,
     NonConvergenceError,
     bias_converged,
     estimate_rates,
@@ -87,10 +86,9 @@ def test_rates_alpha_floor():
 
 
 def test_rates_insufficient_data():
-    with pytest.raises(InsufficientDataError):
-        estimate_rates([0.5], [1.0])
-    with pytest.raises(InsufficientDataError):
-        estimate_rates([0.0, 0.0, 0.5], [1.0, 1.0, 1.0])
+    for means, variances in (([0.5], [1.0]), ([0.0, 0.0, 0.5], [1.0, 1.0, 1.0])):
+        alpha, beta = estimate_rates(means, variances)
+        assert math.isnan(alpha) and math.isnan(beta)
 
 
 def test_bias_test_cases():
@@ -99,6 +97,8 @@ def test_bias_test_cases():
     assert not bias_converged(0.01, 1.0, eps=0.019, omega=0.25)
     # 0.009 <= 0.5 * 0.02 = 0.01
     assert bias_converged(0.009, 1.0, eps=0.02, omega=0.25)
+    # rates not fitted: the test fails however small the mean
+    assert not bias_converged(1e-12, math.nan, eps=0.02, omega=0.25)
 
 
 def test_nmc_cost_model_values():
@@ -106,8 +106,9 @@ def test_nmc_cost_model_values():
     base = nmc_cost_model(2.0, 5.0, eps=0.1, omega=0.25)
     assert nmc_cost_model(2.0, 5.0, eps=0.05, omega=0.25) == pytest.approx(4 * base)
     assert nmc_cost_model(2.0, 10.0, eps=0.1, omega=0.25) == pytest.approx(2 * base)
+    assert nmc_cost_model(0.0, 1.0, 0.1, 0.25) == 0.0
     with pytest.raises(ValueError):
-        nmc_cost_model(0.0, 1.0, 0.1, 0.25)
+        nmc_cost_model(-1.0, 1.0, 0.1, 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +123,9 @@ def test_constant_map_terminates_at_initial_level(const_model):
     assert res.max_level == cfg.l0
     assert len(res.iterations) == 1
     assert all(rec.n_samples == cfg.n_star for rec in res.levels)
+    # level l costs 2^l + 1 evaluations per sample
+    assert [rec.total_cost for rec in res.levels] == [cfg.n_star * (2.0 ** l + 1) for l in range(3)]
+    assert res.total_cost == cfg.n_star * (2.0 + 3.0 + 5.0)
 
 
 def test_adaptive_run_hits_target_and_satisfies_budgets(linear_model, linear_spec):
@@ -144,6 +148,7 @@ def test_adaptive_run_hits_target_and_satisfies_budgets(linear_model, linear_spe
     assert all(a >= b for a, b in zip(counts, counts[1:]))
 
     # Cost bookkeeping is consistent with the per-level records.
+    assert all(rec.total_cost == rec.n_samples * rec.cost_per_sample for rec in res.levels)
     assert res.total_cost == pytest.approx(
         sum(rec.n_samples * rec.cost_per_sample for rec in res.levels)
     )

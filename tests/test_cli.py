@@ -160,6 +160,23 @@ def test_estimate_nmc_mode(tmp_path):
     assert len(alloc) == 2
 
 
+@pytest.mark.parametrize("estimator", ["mlmc", "nmc"])
+def test_estimate_no_information_model(tmp_path, capsys, estimator):
+    # Y does not depend on theta: every level value is 0, the decay rates
+    # cannot be fitted and var(P_L) is 0.
+    cfgfile = write_cfg(tmp_path, minimal(
+        model_params={"A": [[0.0, 0.0]] * 3}, estimator=estimator, eps=[0.05],
+        is_enabled=False, output_dir=str(tmp_path / "out"),
+    ))
+    assert main(["--config", cfgfile]) == 0
+    lines = (tmp_path / "out" / "runs.csv").read_text().splitlines()
+    row = dict(zip(lines[0].split(","), lines[1].split(",")))
+    assert row["estimate"] == "0.0"
+    assert row["alpha_hat"] == "nan"
+    assert row["nmc_model_cost"] == "0.0"
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # CLI entry point and exit codes
 # ---------------------------------------------------------------------------
@@ -189,11 +206,16 @@ def test_main_config_error_exit_2(tmp_path, capsys):
     assert "eps" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", [None, "", 3], ids=["null", "empty", "number"])
-def test_main_output_dir_not_a_string_exit_2(tmp_path, monkeypatch, capsys, value):
+@pytest.mark.parametrize("value, argv", [
+    (None, []),
+    ("", []),
+    (3, []),
+    ("out", ["--output-dir", ""]),
+], ids=["null", "empty", "number", "override-empty"])
+def test_main_output_dir_not_a_string_exit_2(tmp_path, monkeypatch, capsys, value, argv):
     monkeypatch.chdir(tmp_path)
     cfgfile = write_cfg(tmp_path, minimal(eps=[0.05], output_dir=value))
-    assert main(["--config", cfgfile]) == 2
+    assert main(["--config", cfgfile] + argv) == 2
     assert "invalid value for 'output_dir'" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 

@@ -41,10 +41,8 @@ def test_constant_map_level_zero_is_exactly_zero(const_model):
     for seed in range(5):
         assert one_value(const_model, 1, RandomStream(seed), False, antithetic=False) == 0.0
         values = sample_level_values(const_model, NO_IS, 0, 0, 1, RandomStream(seed))
-        stats = stats_from_values(values, cost, level=0)
-        assert stats.mean == 0.0
-        assert stats.level == 0
-        assert stats.total_cost == 2.0
+        assert stats_from_values(values).mean == 0.0
+    assert cost == 2.0
 
 
 def test_constant_map_corrections_exactly_zero(const_model):
@@ -245,36 +243,26 @@ def test_span_fails_only_on_rows_it_returns():
 
 
 def test_accumulate_single_sample():
-    s = merge(LevelStats(), stats_from_values(np.array([2.5]), 3.0, level=0))
+    s = merge(LevelStats(), stats_from_values(np.array([2.5])))
     assert s.count == 1
     assert s.mean == 2.5
-    assert s.total_cost == 3.0
-    assert s.level == 0
-
-
-def test_accumulate_level_mismatch():
-    s = LevelStats(level=1)
-    with pytest.raises(ValueError):
-        merge(s, stats_from_values(np.zeros(1), 1.0, level=2))
 
 
 def test_merge_counts():
-    a = stats_from_values(np.arange(5.0), 1.0, level=0)
-    b = stats_from_values(np.arange(3.0), 1.0, level=0)
+    a = stats_from_values(np.arange(5.0))
+    b = stats_from_values(np.arange(3.0))
     assert merge(a, b).count == 8
-    with pytest.raises(ValueError):
-        merge(a, stats_from_values(np.zeros(2), 1.0, level=1))
 
 
 def test_known_distribution_sanity():
     rng = RandomStream(99).generator()
     stats = LevelStats()
     for v in rng.standard_normal(1000):
-        stats = merge(stats, stats_from_values(np.array([v]), 1.0, level=0))
+        stats = merge(stats, stats_from_values(np.array([v])))
+    assert stats.count == 1000
     assert abs(stats.mean) <= 0.1
     assert abs(stats.variance - 1.0) <= 0.15
     assert abs(stats.kurtosis - 3.0) <= 0.8
-    assert stats.total_cost == 1000.0
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -283,10 +271,9 @@ def test_known_distribution_sanity():
     b=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=30),
 )
 def test_merge_equivalent_to_pooling(a, b):
-    pooled = stats_from_values(np.array(a + b), 2.0)
-    merged = merge(stats_from_values(np.array(a), 2.0), stats_from_values(np.array(b), 2.0))
+    pooled = stats_from_values(np.array(a + b))
+    merged = merge(stats_from_values(np.array(a)), stats_from_values(np.array(b)))
     assert merged.count == pooled.count
-    assert merged.total_cost == pooled.total_cost
     assert merged.sum1 == pytest.approx(pooled.sum1, rel=1e-9, abs=1e-9)
     assert merged.sum4 == pytest.approx(pooled.sum4, rel=1e-9, abs=1e-9)
     if pooled.count >= 2 and pooled.variance > 1e-12:
@@ -295,7 +282,7 @@ def test_merge_equivalent_to_pooling(a, b):
 
 def test_variance_formula_matches_numpy():
     vals = RandomStream(3).generator().standard_normal(500) * 2.3 + 0.7
-    stats = stats_from_values(vals, 1.0)
+    stats = stats_from_values(vals)
     assert stats.variance == pytest.approx(np.var(vals, ddof=1), rel=1e-10)
 
 

@@ -181,10 +181,10 @@ def test_pk_analytic_derivatives_match_finite_differences():
     rng = np.random.default_rng(8)
     for _ in range(4):
         x = model.prior.mean + 0.3 * rng.standard_normal(3)
-        jac_fd = fd_jacobian(bare, x)
+        jac_fd = fd_jacobian(bare, x[None])[0]
         jac = model.forward.jacobian(x)
         assert np.max(np.abs(jac - jac_fd)) <= 1e-4 * np.max(np.abs(jac_fd))
-        hess_fd = fd_hessian(bare, x)
+        hess_fd = fd_hessian(bare, x[None])[0]
         hess = model.forward.hessian(x)
         assert np.max(np.abs(hess - hess_fd)) <= 1e-4 * np.max(np.abs(hess_fd))
 
