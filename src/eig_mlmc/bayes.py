@@ -38,7 +38,9 @@ class ForwardMap:
     applied), mapping a batch (n, d) to (n, w, d) and (n, w, d, d).  Without
     them, :func:`fd_jacobian` and :func:`fd_hessian` difference the batch at
     once and return NaN for a row whose stencil meets a non-finite value.
-    ``cost_units`` is the bookkeeping price of one evaluation.
+    ``cost_units`` is the bookkeeping price of one evaluation.  ``terms`` is
+    an optional fused callable (n, d) -> (g, J, H) that must equal
+    ``(fn, jac, hess)`` bit for bit; :meth:`value_and_derivatives` uses it.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -46,6 +48,7 @@ class ForwardMap:
     jac: Callable[[np.ndarray], np.ndarray] | None = None
     hess: Callable[[np.ndarray], np.ndarray] | None = None
     cost_units: float = 1.0
+    terms: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
 
     def eval(self, theta: np.ndarray) -> np.ndarray:
         return self.fn(np.asarray(theta, dtype=float))
@@ -55,6 +58,12 @@ class ForwardMap:
 
     def hessian(self, theta: np.ndarray) -> np.ndarray:
         return fd_hessian(self, theta) if self.hess is None else self.hess(np.asarray(theta, dtype=float))
+
+    def value_and_derivatives(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(g, J, H) at a batch (n, d): one ``terms`` call, or the three separate ones."""
+        if self.terms is not None:
+            return self.terms(np.asarray(theta, dtype=float))
+        return self.eval(theta), self.jacobian(theta), self.hessian(theta)
 
     @property
     def has_analytic_derivatives(self) -> bool:

@@ -250,6 +250,17 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _json(obj) -> str:
+    """JSON text with nan and inf written as null: RFC 8259 has no token for them."""
+    def strict(v):
+        if isinstance(v, dict):
+            return {k: strict(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [strict(x) for x in v]
+        return None if isinstance(v, float) and not math.isfinite(v) else v
+    return json.dumps(strict(obj), sort_keys=True, default=repr) + "\n"
+
+
 def _csv(rows: list[tuple], header: str) -> str:
     lines = [header]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
@@ -295,7 +306,7 @@ def run_rate_study(config: RunConfig) -> list[Path]:
         "is_enabled": est.use_is,
     }
     summary_path = out / "rate_summary.json"
-    _write_atomic(summary_path, json.dumps(summary, sort_keys=True) + "\n")
+    _write_atomic(summary_path, _json(summary))
     return [levels_path, summary_path]
 
 
@@ -405,8 +416,7 @@ def main(argv: list[str] | None = None) -> int:
     except NonConvergenceError as exc:
         trace_path = Path(config.output_dir) / "trace.json"
         try:
-            _write_atomic(trace_path, json.dumps(
-                [rec.__dict__ for rec in exc.trace], sort_keys=True, default=repr) + "\n")
+            _write_atomic(trace_path, _json([rec.__dict__ for rec in exc.trace]))
         except OSError as io_exc:
             print(f"error: cannot write {trace_path}: {io_exc}", file=sys.stderr)
             return 4

@@ -87,15 +87,15 @@ def fit_batch(model: BayesModel, theta_star: np.ndarray, y: np.ndarray) -> Lapla
     jitter ladder; rows that still fail fall back to the prior (mean theta*,
     prior covariance).  Rows whose forward value or derivatives at theta* are
     not finite are fitted on zeroed derivatives, which lands them on the same
-    fallback, and are flagged in ``unfit``.
+    fallback, and are flagged in ``unfit``.  The value and derivatives at
+    theta* come from one ``ForwardMap.value_and_derivatives`` call, so a
+    model with fused ``terms`` evaluates its forward map there once.
     """
     ne = model.replicates
     w = model.forward.out_dim
     prec = model.noise.precision
 
-    jg = model.forward.jacobian(theta_star)          # (B, w, d) plain grad g
-    hg = model.forward.hessian(theta_star)           # (B, w, d, d)
-    g = model.forward.eval(theta_star)               # (B, w)
+    g, jg, hg = model.forward.value_and_derivatives(theta_star)  # plain g and its derivatives
     unfit = ~(
         np.all(np.isfinite(jg), axis=(1, 2))
         & np.all(np.isfinite(hg), axis=(1, 2, 3))

@@ -174,6 +174,10 @@ class PkSpec:
             raise ValueError("prior variances must be positive")
 
 
+# Rows per _pk_terms pass: the ~60 temporaries of shape (rows, J) then stay in cache.
+_PK_CHUNK = 2048
+
+
 def _pk_terms(spec: PkSpec, theta: np.ndarray, order: int):
     """g at physical theta and, for order >= 1, derivatives with respect to
     the LOG parameters x = log(theta).
@@ -184,8 +188,17 @@ def _pk_terms(spec: PkSpec, theta: np.ndarray, order: int):
 
     Returns (g, jac, hess) where jac is (..., J, 3) and hess (..., J, 3, 3);
     entries beyond ``order`` are None.  The k_a = k_e seam uses series limits
-    of the same expressions.
+    of the same expressions.  Every entry is computed row by row, so the
+    result is the same bit for bit whatever ``order`` is asked for and
+    however the rows are split: batches run in chunks of ``_PK_CHUNK`` rows.
     """
+    starts = range(0, max(len(theta), 1), _PK_CHUNK)  # an empty batch is one empty chunk
+    parts = [_pk_chunk(spec, theta[lo:lo + _PK_CHUNK], order) for lo in starts]
+    return tuple(None if p[0] is None else np.concatenate(p) for p in zip(*parts))
+
+
+def _pk_chunk(spec: PkSpec, theta: np.ndarray, order: int):
+    """:func:`_pk_terms` on one chunk of rows."""
     t = spec.schedule
     ka = theta[..., 0:1]
     ke = theta[..., 1:2]
@@ -200,21 +213,18 @@ def _pk_terms(spec: PkSpec, theta: np.ndarray, order: int):
     r = ka / dsafe
     diff = ue - ua
 
-    g = np.where(seam, c * ka * t * ua, c * r * diff)
+    def pick(on, off):
+        # the confluent limit ``on()`` is computed only for a chunk that meets
+        # the seam; elsewhere np.where(seam, ., off) would return off bit for bit
+        return np.where(seam, on(), off) if np.any(seam) else off
+
+    g = pick(lambda: c * ka * t * ua, c * r * diff)
     if order == 0:
         return g, None, None
 
     inv2 = dsafe ** -2
-    ga = np.where(
-        seam,
-        c * ua * (t - ka * t * t / 2.0),
-        c * (-(ke * inv2) * diff + r * t * ua),
-    )
-    ge = np.where(
-        seam,
-        -c * ua * ka * t * t / 2.0,
-        c * ((ka * inv2) * diff - r * t * ue),
-    )
+    ga = pick(lambda: c * ua * (t - ka * t * t / 2.0), c * (-(ke * inv2) * diff + r * t * ua))
+    ge = pick(lambda: -c * ua * ka * t * t / 2.0, c * ((ka * inv2) * diff - r * t * ue))
     j1 = ka * ga
     j2 = ke * ge
     jac = np.stack([j1, j2, -g], axis=-1)
@@ -224,21 +234,12 @@ def _pk_terms(spec: PkSpec, theta: np.ndarray, order: int):
     inv3 = inv2 / dsafe
     t2 = t * t
     t3 = t2 * t
-    gaa = np.where(
-        seam,
-        c * ua * (-t2 + ka * t3 / 3.0),
-        c * (2.0 * ke * inv3 * diff - 2.0 * ke * inv2 * t * ua - r * t2 * ua),
-    )
-    gae = np.where(
-        seam,
-        c * ua * (-t2 / 2.0 + ka * t3 / 6.0),
-        c * (-(inv2 + 2.0 * ke * inv3) * diff + (ke * t * ue + ka * t * ua) * inv2),
-    )
-    gee = np.where(
-        seam,
-        c * ua * ka * t3 / 3.0,
-        c * (2.0 * ka * inv3 * diff - 2.0 * ka * inv2 * t * ue + r * t2 * ue),
-    )
+    gaa = pick(lambda: c * ua * (-t2 + ka * t3 / 3.0),
+               c * (2.0 * ke * inv3 * diff - 2.0 * ke * inv2 * t * ua - r * t2 * ua))
+    gae = pick(lambda: c * ua * (-t2 / 2.0 + ka * t3 / 6.0),
+               c * (-(inv2 + 2.0 * ke * inv3) * diff + (ke * t * ue + ka * t * ua) * inv2))
+    gee = pick(lambda: c * ua * ka * t3 / 3.0,
+               c * (2.0 * ka * inv3 * diff - 2.0 * ka * inv2 * t * ue + r * t2 * ue))
     # Chain rule into log-parameter space x = log(theta):
     # d2g/dx1^2 = k_a*ga + k_a^2*gaa, cross terms with x3 reduce to -dg/dx_i.
     h11 = j1 + ka * ka * gaa
@@ -264,20 +265,20 @@ def make_pk_model(spec: PkSpec) -> BayesModel:
     J = spec.schedule.size
 
     def fwd(x: np.ndarray) -> np.ndarray:
-        g, _, _ = _pk_terms(spec, np.exp(x), order=0)
-        return g
+        return _pk_terms(spec, np.exp(x), order=0)[0]
 
     def jac(x: np.ndarray) -> np.ndarray:
-        _, jv, _ = _pk_terms(spec, np.exp(x), order=1)
-        return jv
+        return _pk_terms(spec, np.exp(x), order=1)[1]
 
     def hess(x: np.ndarray) -> np.ndarray:
-        _, _, hv = _pk_terms(spec, np.exp(x), order=2)
-        return hv
+        return _pk_terms(spec, np.exp(x), order=2)[2]
+
+    def terms(x: np.ndarray):
+        return _pk_terms(spec, np.exp(x), order=2)
 
     return BayesModel(
         prior=GaussianDensity(np.array(spec.log_means), np.diag(spec.log_vars)),
-        forward=ForwardMap(fn=fwd, out_dim=J, jac=jac, hess=hess),
+        forward=ForwardMap(fn=fwd, out_dim=J, jac=jac, hess=hess, terms=terms),
         noise=GaussianDensity(np.zeros(J), spec.noise_var * np.eye(J)),
         replicates=1,
     )

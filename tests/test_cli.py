@@ -105,8 +105,8 @@ def test_rate_study_constant_map_zero_columns(tmp_path):
         parts = line.split(",")
         assert float(parts[3]) == 0.0  # mean_Z
         assert float(parts[4]) == 0.0  # var_Z
-    summary = json.loads(Path(tmp_path, "rate_summary.json").read_text())
-    assert math.isnan(summary["alpha_hat"])
+    summary = strict_json(Path(tmp_path, "rate_summary.json").read_text())
+    assert summary["alpha_hat"] is None  # nan, written as null
     assert {p.name for p in paths} == {"levels.csv", "rate_summary.json"}
 
 
@@ -177,6 +177,21 @@ def test_estimate_no_information_model(tmp_path, capsys, estimator):
     capsys.readouterr()
 
 
+def test_rate_study_no_information_model_writes_strict_json(tmp_path, capsys):
+    # The decay rates cannot be fitted, and rate_summary.json writes the nan
+    # rates as null: NaN is not a JSON token.
+    cfgfile = write_cfg(tmp_path, minimal(
+        model_params={"A": [[0.0, 0.0]] * 3}, is_enabled=False, diagnostics_levels=3,
+        diagnostics_samples=200, output_dir=str(tmp_path / "out"),
+    ))
+    assert main(["--config", cfgfile, "--mode", "rate-study"]) == 0
+    summary = strict_json((tmp_path / "out" / "rate_summary.json").read_text())
+    assert summary["alpha_hat"] is None
+    assert summary["beta_hat"] is None
+    assert summary["levels"] == 3
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # CLI entry point and exit codes
 # ---------------------------------------------------------------------------
@@ -186,6 +201,13 @@ def write_cfg(tmp_path, text, name="cfg.json"):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which RFC 8259 does not define."""
+    def refuse(token):
+        raise ValueError(f"not a JSON token: {token}")
+    return json.loads(text, parse_constant=refuse)
 
 
 def test_main_success_and_seed_override(tmp_path, capsys):
@@ -237,8 +259,10 @@ def test_main_nonconvergence_exit_3_with_trace(tmp_path, capsys):
         minimal(eps=[0.02], L0=1, L_max=1, N_star=200, output_dir=str(tmp_path / "out")),
     )
     assert main(["--config", cfgfile]) == 3
-    trace = json.loads((tmp_path / "out" / "trace.json").read_text())
+    trace = strict_json((tmp_path / "out" / "trace.json").read_text())
     assert isinstance(trace, list) and trace
+    # one correction level gives no decay-rate fit: nan, written as null
+    assert all(rec["alpha_hat"] is None for rec in trace)
     capsys.readouterr()
 
 

@@ -209,6 +209,25 @@ def test_unfit_row_leaves_the_other_rows_bit_identical():
     assert np.array_equal(fits.chol_prec[2], np.linalg.cholesky(model.prior.precision))
 
 
+def test_fused_pk_fit_equals_the_rebuilt_unfused_fit():
+    # The PK model hands fit_batch g, J and H from one fused call; the same
+    # ForwardMap rebuilt without ``terms`` makes three calls and fits the same bits.
+    model = make_pk_model(PkSpec())
+    fwd = model.forward
+    rebuilt = ForwardMap(fn=fwd.fn, out_dim=fwd.out_dim, jac=fwd.jac, hess=fwd.hess,
+                         cost_units=fwd.cost_units)
+    unfused = BayesModel(model.prior, rebuilt, model.noise, model.replicates)
+    rng = RandomStream(19).generator()
+    theta = model.prior.sample(rng, size=3000)
+    theta[0, 1] = theta[0, 0]  # one outer sample on the k_a = k_e seam
+    y = fwd.eval(theta) + rng.standard_normal((3000, fwd.out_dim)) @ model.noise.chol.T
+    fused, plain = fit_batch(model, theta, y), fit_batch(unfused, theta, y)
+    assert fwd.terms is not None and rebuilt.terms is None
+    assert np.array_equal(fused.theta_hat, plain.theta_hat)
+    assert np.array_equal(fused.chol_prec, plain.chol_prec)
+    assert np.array_equal(fused.unfit, plain.unfit)
+
+
 def test_fit_batch_matches_single(linear_spec, linear_model):
     rng = RandomStream(15).generator()
     thetas = linear_model.prior.sample(rng, size=5)

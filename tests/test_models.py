@@ -14,7 +14,7 @@ from eig_mlmc import (
     make_pk_model,
     sampling_schedule,
 )
-from eig_mlmc.models import PkSpec, _pk_terms
+from eig_mlmc.models import PkSpec, _pk_chunk, _pk_terms
 
 from conftest import U_LINEAR_NE1, U_LINEAR_NE10
 
@@ -198,6 +198,48 @@ def test_pk_derivatives_continuous_across_seam():
     h0, h1 = model.forward.hessian(x_seam), model.forward.hessian(x_near)
     assert np.max(np.abs(j0 - j1)) <= 1e-5 * np.max(np.abs(j0))
     assert np.max(np.abs(h0 - h1)) <= 1e-5 * np.max(np.abs(h0))
+
+
+PK_BLOCK_SIZES = [1, 37, 2048, 2049, 16384]
+
+
+def pk_block(n):
+    """n rows of PK log parameters around the prior medians: the last row
+    2e-8 off the k_a = k_e seam, the middle row within 1e-8 of it (so on it)
+    and the first row exactly on it."""
+    x = np.log([1.0, 0.1, 20.0]) + math.sqrt(0.05) * np.random.default_rng(n).standard_normal((n, 3))
+    x[n - 1, 1] = x[n - 1, 0] - 2e-8
+    x[n // 2, 1] = x[n // 2, 0] + 5e-9
+    x[0, 1] = x[0, 0]
+    return x
+
+
+@pytest.mark.parametrize("n", PK_BLOCK_SIZES)
+def test_pk_chunked_and_fused_terms_are_bit_identical(n):
+    # Row chunks change no bit against one unchunked pass, at every order,
+    # and the fused (g, J, H) call equals the three separate calls.
+    spec = PkSpec()
+    x = pk_block(n)
+    for order in range(3):
+        chunked = _pk_terms(spec, np.exp(x), order)
+        whole = _pk_chunk(spec, np.exp(x), order)
+        assert [a is None for a in chunked] == [order < k for k in range(3)]
+        assert all(a is b is None or np.array_equal(a, b) for a, b in zip(chunked, whole))
+    fwd = make_pk_model(spec).forward
+    g, jac, hess = fwd.value_and_derivatives(x)
+    assert np.array_equal(g, fwd.eval(x))
+    assert np.array_equal(jac, fwd.jacobian(x))
+    assert np.array_equal(hess, fwd.hessian(x))
+
+
+def test_pk_off_seam_rows_do_not_depend_on_the_seam_branch():
+    # A chunk with no seam row skips the confluent formulas; its rows equal
+    # the same rows of a chunk that meets the seam and takes np.where.
+    spec = PkSpec()
+    theta = np.exp(pk_block(37))
+    off = np.delete(theta, [0, 18], axis=0)
+    for a, b in zip(_pk_terms(spec, off, 2), _pk_terms(spec, theta, 2)):
+        assert np.array_equal(a, np.delete(b, [0, 18], axis=0))
 
 
 def test_pk_spec_validation():
