@@ -3,6 +3,9 @@
 The data model is ``Y = (g(theta) + eps_1, ..., g(theta) + eps_Ne)`` with
 i.i.d. Gaussian noise blocks sharing one covariance.  The likelihood is the
 sum of per-block Gaussian log densities, evaluated entirely in log space.
+Y enters it only through the replicate mean and scatter (as in Beck, Dia,
+Espath, Long and Tempone, CMAME 2018), so the kernel's work per response
+does not grow with Ne.
 """
 
 from __future__ import annotations
@@ -91,20 +94,44 @@ class BayesModel:
             raise ValueError("replicates must be >= 1")
 
 
+def replicate_summary(model: BayesModel, y: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """What the likelihood reads of data rows y (k, Ne*w): the replicate mean
+    (k, w) and the scatter sum_r |L^-1 (y_r - mean)|^2 (k,), L the noise
+    Cholesky factor.  At Ne = 1 the mean is y and the scatter is None (zero).
+    """
+    ne, w = model.replicates, model.forward.out_dim
+    reps = y.reshape(-1, ne, w)
+    if ne == 1:
+        return reps[:, 0], None
+    mean = reps.mean(axis=1)
+    v = solve_triangular(model.noise.chol, (reps - mean[:, None]).reshape(-1, w).T, lower=True)
+    with np.errstate(over="ignore"):  # an overflowing scatter means density zero
+        return mean, np.sum(v * v, axis=0).reshape(-1, ne).sum(axis=1)
+
+
+def summary_log_likelihood(model: BayesModel, g: np.ndarray, summary) -> np.ndarray:
+    """:func:`response_log_likelihood` on a :func:`replicate_summary` of the
+    data, so that several calls on the same data reduce it once."""
+    n, m, w = g.shape
+    mean, scatter = summary
+    ne = model.replicates
+    u = solve_triangular(model.noise.chol, (mean[:, None, :] - g).reshape(-1, w).T, lower=True)
+    with np.errstate(over="ignore"):  # an overflowing quad form means density zero
+        quad = np.sum(u * u, axis=0).reshape(n, m)
+        if scatter is not None:
+            quad = ne * quad + scatter[:, None]
+    return ne * model.noise.log_norm_const - 0.5 * quad
+
+
 def response_log_likelihood(model: BayesModel, g: np.ndarray, y: np.ndarray) -> np.ndarray:
     """log p(y_b | .) from evaluated responses g (n, m, w) and data y (n, Ne*w),
     shape (n, m); a single data row (1, Ne*w) is shared by every row of g.
 
-    The one Gaussian likelihood kernel: the sum over replicates of the
-    residual quadratic forms under the noise Cholesky factor.
+    The one Gaussian likelihood kernel, on the replicate mean ybar and
+    scatter S: sum_r |L^-1 (y_r - g)|^2 = Ne |L^-1 (ybar - g)|^2 + S.  The
+    grid term runs over (n, m, w), S over (n, Ne, w) once per data row.
     """
-    n, m, w = g.shape
-    ne = model.replicates
-    resid = y.reshape(-1, 1, ne, w) - g[:, :, None, :]
-    u = solve_triangular(model.noise.chol, resid.reshape(-1, w).T, lower=True)
-    with np.errstate(over="ignore"):  # an overflowing quad form means density zero
-        quad = np.sum(u * u, axis=0).reshape(n, m, ne).sum(axis=-1)
-    return ne * model.noise.log_norm_const - 0.5 * quad
+    return summary_log_likelihood(model, g, replicate_summary(model, y))
 
 
 def _fd_eval(forward: ForwardMap, pts: np.ndarray, bad: np.ndarray) -> np.ndarray:

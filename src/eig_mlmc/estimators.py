@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import laplace
-from .bayes import BayesModel, response_log_likelihood
+from .bayes import BayesModel, replicate_summary, summary_log_likelihood
 from .errors import InnerUnderflowError
 from .streams import RandomStream
 
@@ -158,11 +158,12 @@ def _logmeanexp(logw: np.ndarray) -> np.ndarray:
     return np.where(finite, out, -np.inf)
 
 
-def _loglik_grid(model: BayesModel, thetas: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """log p(y_b | theta_bm) for thetas (n, m, d) against per-row data (n, D)."""
+def _loglik_grid(model: BayesModel, thetas: np.ndarray, summary) -> np.ndarray:
+    """log p(y_b | theta_bm) for thetas (n, m, d) against the replicate
+    summary of per-row data (n, D)."""
     n, m, d = thetas.shape
     g = model.forward.eval(thetas.reshape(n * m, d)).reshape(n, m, model.forward.out_dim)
-    return response_log_likelihood(model, g, y)
+    return summary_log_likelihood(model, g, summary)
 
 
 def _draw_outer(model: BayesModel, m: int, n: int, rng: np.random.Generator):
@@ -181,11 +182,11 @@ def _draw_outer(model: BayesModel, m: int, n: int, rng: np.random.Generator):
     return theta, g, y, z_inner
 
 
-def _prior_logweights(model: BayesModel, y: np.ndarray, z_inner: np.ndarray) -> np.ndarray:
+def _prior_logweights(model: BayesModel, summary, z_inner: np.ndarray) -> np.ndarray:
     n, m, d = z_inner.shape
     prior = model.prior
     inner = (prior.mean + z_inner.reshape(n * m, d) @ prior.chol.T).reshape(n, m, d)
-    return _loglik_grid(model, inner, y)
+    return _loglik_grid(model, inner, summary)
 
 
 def _inner_logweights(
@@ -194,20 +195,25 @@ def _inner_logweights(
     y: np.ndarray,
     z_inner: np.ndarray,
     use_is: bool,
+    summary=None,
 ) -> np.ndarray:
     """Per-row inner log weights: log p(y | .) alone, or with the importance
     correction log p(.) - log q(. | y) under per-row Laplace fits.
 
-    The block is fitted once.  Rows the fit marks ``unfit`` (non-finite
-    derivatives at theta*) are overwritten with prior-sampling weights.
+    ``summary`` is the :func:`~eig_mlmc.bayes.replicate_summary` of y when
+    the caller has it already.  The block is fitted once.  Rows the fit
+    marks ``unfit`` (non-finite derivatives at theta*) are overwritten with
+    prior-sampling weights.
     """
+    if summary is None:
+        summary = replicate_summary(model, y)
     if not use_is:
-        return _prior_logweights(model, y, z_inner)
+        return _prior_logweights(model, summary, z_inner)
     n, m, d = z_inner.shape
     fits = laplace.fit_batch(model, theta, y)
     inner = fits.draw(z_inner)
     logw = (
-        _loglik_grid(model, inner, y)
+        _loglik_grid(model, inner, summary)
         + model.prior.log_pdf(inner.reshape(n * m, d)).reshape(n, m)
         - fits.log_pdf(inner)
     )
@@ -218,7 +224,7 @@ def _inner_logweights(
             "falling back to prior sampling for them",
             RuntimeWarning,
         )
-        logw[unfit] = _prior_logweights(model, y[unfit], z_inner[unfit])
+        logw[unfit] = _prior_logweights(model, replicate_summary(model, y[unfit]), z_inner[unfit])
     return logw
 
 
@@ -230,16 +236,18 @@ def _block_values(
     use_is: bool,
     antithetic: bool,
 ) -> np.ndarray:
-    """Values of n outer samples drawn from one generator."""
+    """Values of n outer samples drawn from one generator; the inner grid and
+    the outer term share one replicate summary of the data."""
     theta, g, y, z_inner = _draw_outer(model, m, n, rng)
-    logw = _inner_logweights(model, theta, y, z_inner, use_is)
+    summary = replicate_summary(model, y)
+    logw = _inner_logweights(model, theta, y, z_inner, use_is, summary)
     log_full = _logmeanexp(logw)
     if antithetic:
         half = m // 2
         log_a = _logmeanexp(logw[:, :half])
         log_b = _logmeanexp(logw[:, half:])
         return 0.5 * (log_a + log_b) - log_full
-    return response_log_likelihood(model, g[:, None], y)[:, 0] - log_full
+    return summary_log_likelihood(model, g[:, None], summary)[:, 0] - log_full
 
 
 def _span_values(

@@ -90,6 +90,18 @@ def log_likelihood(model, theta, y):
     return response_log_likelihood(model, g[None], np.asarray(y)[None])[0]
 
 
+def replicate_loop_log_likelihood(model, g, y):
+    """Oracle of ``response_log_likelihood``: the residual of every replicate
+    against every response, (n, m, Ne, w), summed over replicates."""
+    n, m, w = g.shape
+    ne = model.replicates
+    resid = y.reshape(-1, 1, ne, w) - g[:, :, None, :]
+    u = solve_triangular(model.noise.chol, resid.reshape(-1, w).T, lower=True)
+    with np.errstate(over="ignore"):  # an overflowing quad form means density zero
+        quad = np.sum(u * u, axis=0).reshape(n, m, ne).sum(axis=-1)
+    return ne * model.noise.log_norm_const - 0.5 * quad
+
+
 def simulate_data(model, theta, stream):
     """Data y at one point theta (d,): replicated g(theta) plus one
     ``standard_normal((replicates, w))`` block from ``stream``, coloured by

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from eig_mlmc.bayes import response_log_likelihood
 from eig_mlmc.estimators import _draw_outer
 from eig_mlmc.models import PkSpec
 
-from conftest import log_likelihood, simulate_data
+from conftest import log_likelihood, replicate_loop_log_likelihood, simulate_data
 
 
 def scalar_model(g_const=0.0):
@@ -134,6 +135,69 @@ def test_sign_flip_invariance(linear_spec, linear_model):
     a = log_likelihood(linear_model, theta, y)[0]
     b = log_likelihood(flipped, theta, -y)[0]
     assert a == pytest.approx(b, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# The kernel on the replicate mean and scatter, against the per-replicate loop
+# ---------------------------------------------------------------------------
+
+
+def _wide_linear_model(w, ne, seed=0):
+    # A random w-observation linear model with a correlated noise covariance.
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((w, w))
+    return make_linear_model(LinearGaussianSpec(
+        A=rng.standard_normal((w, 2)), mu_theta=np.zeros(2), Sigma_theta=np.eye(2),
+        Sigma_eps=0.1 * (b @ b.T / w + np.eye(w)), n_e=ne,
+    ))
+
+
+def _kernel_block(model, n, m, seed):
+    # Data of n outer draws and the responses of an (n, m) grid of prior points.
+    rng = np.random.default_rng(seed)
+    _, _, y, z = _draw_outer(model, m, n, rng)
+    inner = model.prior.mean + z @ model.prior.chol.T
+    g = model.forward.eval(inner.reshape(n * m, -1)).reshape(n, m, -1)
+    return g, y
+
+
+@pytest.mark.parametrize("model", [
+    make_linear_model(LinearGaussianSpec()),
+    make_pk_model(PkSpec()),
+    _wide_linear_model(15, 1),
+], ids=["linear", "pk", "linear_w15"])
+def test_kernel_bit_identical_to_replicate_loop_at_one_replicate(model):
+    g, y = _kernel_block(model, 6, 5, seed=1)
+    assert np.array_equal(response_log_likelihood(model, g, y), replicate_loop_log_likelihood(model, g, y))
+    # one data row shared by every row of the grid
+    shared = response_log_likelihood(model, g, y[:1])
+    assert shared.shape == (6, 5)
+    assert np.array_equal(shared, replicate_loop_log_likelihood(model, g, y[:1]))
+
+
+@pytest.mark.parametrize("ne", [2, 10, 50])
+@pytest.mark.parametrize("w", [3, 15])
+def test_kernel_matches_replicate_loop(ne, w):
+    model = make_linear_model(LinearGaussianSpec(n_e=ne)) if w == 3 else _wide_linear_model(w, ne)
+    g, y = _kernel_block(model, 6, 5, seed=ne + w)
+    for data in (y, y[:1]):
+        val = response_log_likelihood(model, g, data)
+        oracle = replicate_loop_log_likelihood(model, g, data)
+        assert val.shape == oracle.shape == (6, 5)
+        assert np.allclose(val, oracle, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("ne", [1, 10])
+def test_kernel_overflow_is_minus_inf_without_warning(ne):
+    model = make_linear_model(LinearGaussianSpec(n_e=ne))
+    g = np.zeros((2, 3, 3))
+    y = np.zeros((2, 3 * ne))
+    y[0, :3] = 1e200  # the first replicate of row 0 overflows every column's quad form
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val = response_log_likelihood(model, g, y)
+    assert np.all(val[0] == -np.inf)
+    assert np.array_equal(val[1], replicate_loop_log_likelihood(model, g, y)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,10 @@ from eig_mlmc import (
     sample_level_values,
     sample_p_values,
 )
+import eig_mlmc.estimators as estimators
+from eig_mlmc.bayes import response_log_likelihood
 from eig_mlmc.estimators import (
+    _block_values,
     _draw_outer,
     _inner_logweights,
     _logmeanexp,
@@ -123,6 +126,22 @@ def test_antithetic_identity_on_drawn_weights(linear_model, seed, level, use_is)
     )
     value = one_value(linear_model, m, RandomStream(seed), use_is, antithetic=True)
     assert value == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("use_is", [False, True])
+def test_block_summarises_replicates_once(monkeypatch, use_is):
+    # The inner grid and the outer term of a level-zero block share one
+    # replicate summary, and sharing it leaves the values as the kernel on y gives.
+    model = make_linear_model(LinearGaussianSpec(n_e=10))
+    calls = []
+    summarise = estimators.replicate_summary
+    monkeypatch.setattr(estimators, "replicate_summary", lambda *a: calls.append(1) or summarise(*a))
+    values = _block_values(model, 1, 8, RandomStream(4).generator(), use_is, antithetic=False)
+    assert len(calls) == 1
+    theta, g, y, z_inner = _draw_outer(model, 1, 8, RandomStream(4).generator())
+    logw = _inner_logweights(model, theta, y, z_inner, use_is)
+    expected = response_log_likelihood(model, g[:, None], y)[:, 0] - _logmeanexp(logw)
+    assert np.array_equal(values, expected)
 
 
 def test_halves_partition_in_stream_order(linear_model):
