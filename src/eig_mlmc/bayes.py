@@ -98,15 +98,22 @@ def replicate_summary(model: BayesModel, y: np.ndarray) -> tuple[np.ndarray, np.
     """What the likelihood reads of data rows y (k, Ne*w): the replicate mean
     (k, w) and the scatter sum_r |L^-1 (y_r - mean)|^2 (k,), L the noise
     Cholesky factor.  At Ne = 1 the mean is y and the scatter is None (zero).
+    A row whose mean or deviations leave the float range has mean 0 and an
+    infinite scatter, so its likelihood is zero everywhere.
     """
     ne, w = model.replicates, model.forward.out_dim
     reps = y.reshape(-1, ne, w)
     if ne == 1:
         return reps[:, 0], None
-    mean = reps.mean(axis=1)
-    v = solve_triangular(model.noise.chol, (reps - mean[:, None]).reshape(-1, w).T, lower=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = reps.mean(axis=1)
+        dev = reps - mean[:, None]
+    out = ~np.all(np.isfinite(dev), axis=(1, 2))
+    mean[out], dev[out] = 0.0, 0.0
+    # dev is a private temporary: solving in its buffer saves a (k, Ne, w) array
+    v = solve_triangular(model.noise.chol, dev.reshape(-1, w).T, lower=True, overwrite_b=True)
     with np.errstate(over="ignore"):  # an overflowing scatter means density zero
-        return mean, np.sum(v * v, axis=0).reshape(-1, ne).sum(axis=1)
+        return mean, np.where(out, np.inf, np.sum(v * v, axis=0).reshape(-1, ne).sum(axis=1))
 
 
 def summary_log_likelihood(model: BayesModel, g: np.ndarray, summary) -> np.ndarray:
@@ -120,6 +127,8 @@ def summary_log_likelihood(model: BayesModel, g: np.ndarray, summary) -> np.ndar
         quad = np.sum(u * u, axis=0).reshape(n, m)
         if scatter is not None:
             quad = ne * quad + scatter[:, None]
+    # solve_triangular refuses non-finite inputs, so a nan is an overflow inside it (inf times 0)
+    np.copyto(quad, np.inf, where=np.isnan(quad))
     return ne * model.noise.log_norm_const - 0.5 * quad
 
 

@@ -7,7 +7,8 @@ samples the level variables on a fixed grid and writes ``levels.csv`` plus
 into place, so a failed run never leaves a partial file.  Identical config
 and seed produce byte-identical files.
 
-Exit codes: 0 success, 2 configuration error, 3 non-convergence, 4 I/O error.
+Exit codes: 0 success, 2 configuration error, 3 the estimator could not
+finish (non-convergence or inner underflow), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .adaptive import AdaptiveConfig, estimate_rates, nmc_cost_model, run_adaptive
 from .bayes import BayesModel
-from .errors import NonConvergenceError
+from .errors import InnerUnderflowError, NonConvergenceError
 from .estimators import (
     EstimatorConfig,
     nmc_estimate,
@@ -35,7 +36,6 @@ from .estimators import (
     sample_p_values,
     stats_from_values,
 )
-from .gaussian import GaussianDensity
 from .models import LinearGaussianSpec, PkSpec, make_linear_model, make_pk_model, sampling_schedule
 from .streams import RandomStream
 
@@ -90,37 +90,32 @@ def _numeric_array(key: str, value) -> np.ndarray:
     return arr
 
 
-def _check_model_params(model: str, params: dict) -> None:
-    """Check the values of ``model_params`` so that a bad one is a
-    configuration error, not a failure while the model is built."""
+def _model_spec(model: str, params: dict) -> LinearGaussianSpec | PkSpec:
+    """``model_params`` as the model's spec: the one conversion, run to check
+    a config and again to build its model.  The JSON types are checked here,
+    the values by the spec."""
     if model == "linear":
+        kwargs = {k: _numeric_array(k, v) for k, v in params.items() if k != "N_e"}
         if "N_e" in params:
-            _integer("N_e", params["N_e"], 1)
-        arrays = {k: _numeric_array(k, v) for k, v in params.items() if k != "N_e"}
-        try:
-            spec = LinearGaussianSpec(**arrays)  # the shape checks
-        except ValueError as exc:
-            raise ConfigError(f"invalid value for 'model_params': {exc}") from exc
-        for key in ("Sigma_theta", "Sigma_eps"):
-            cov = getattr(spec, key)
-            try:
-                GaussianDensity(np.zeros(len(cov)), cov)  # symmetric positive definite
-            except ValueError as exc:
-                raise ConfigError(f"invalid value for {key!r}: {exc}") from exc
-        return
-    if "scheme" in params and params["scheme"] not in ("beta", "even", "geometric"):
-        raise ConfigError("invalid value for 'scheme': must be 'beta', 'even' or 'geometric'")
-    if "J" in params:
-        _integer("J", params["J"], 1)
-    for key in ("dose", "noise_var"):
-        value = params.get(key, 1.0)
-        if not (_is_number(value) and math.isfinite(value) and value > 0):
-            raise ConfigError(f"invalid value for {key!r}: must be a positive number")
-    if "schedule" in params:
-        times = _numeric_array("schedule", params["schedule"])
-        if times.ndim != 1 or not times.size or np.any(times < 0.0) or np.any(np.diff(times) <= 0.0):
-            raise ConfigError("invalid value for 'schedule': must be a non-empty, strictly "
-                              "increasing list of non-negative times")
+            kwargs["n_e"] = _integer("N_e", params["N_e"], 1)
+    else:
+        scheme = params.get("scheme", "beta")
+        if scheme not in ("beta", "even", "geometric"):
+            raise ConfigError("invalid value for 'scheme': must be 'beta', 'even' or 'geometric'")
+        j = _integer("J", params.get("J", 15), 1)  # checked even when a schedule replaces it
+        if "schedule" in params:
+            kwargs = {"schedule": _numeric_array("schedule", params["schedule"])}
+        else:
+            kwargs = {"schedule": sampling_schedule(scheme, j)}
+        for key in ("dose", "noise_var"):
+            if key in params:
+                if not _is_number(params[key]):
+                    raise ConfigError(f"invalid value for {key!r}: must be a number")
+                kwargs[key] = float(params[key])
+    try:
+        return LinearGaussianSpec(**kwargs) if model == "linear" else PkSpec(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"invalid value for 'model_params': {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -141,22 +136,8 @@ class RunConfig:
     diagnostics_samples: int = 20000
 
     def build_model(self) -> BayesModel:
-        p = self.model_params
-        if self.model == "linear":
-            kwargs = {k: p[k] for k in ("A", "mu_theta", "Sigma_theta", "Sigma_eps") if k in p}
-            if "N_e" in p:
-                kwargs["n_e"] = p["N_e"]
-            return make_linear_model(LinearGaussianSpec(**kwargs))
-        if "schedule" in p:
-            times = np.asarray(p["schedule"], dtype=float)
-        else:
-            times = sampling_schedule(p.get("scheme", "beta"), p.get("J", 15))
-        kwargs = {}
-        if "dose" in p:
-            kwargs["dose"] = float(p["dose"])
-        if "noise_var" in p:
-            kwargs["noise_var"] = float(p["noise_var"])
-        return make_pk_model(PkSpec(schedule=times, **kwargs))
+        spec = _model_spec(self.model, self.model_params)
+        return make_linear_model(spec) if self.model == "linear" else make_pk_model(spec)
 
     def estimator_config(self) -> EstimatorConfig:
         return EstimatorConfig(m0=self.m0, use_is=self.is_enabled)
@@ -197,37 +178,30 @@ def parse_config(text: str) -> RunConfig:
     bad = set(params) - allowed
     if bad:
         fail("model_params", f"unknown key {sorted(bad)[0]!r} for model {model!r}")
-    _check_model_params(model, params)
+    _model_spec(model, params)
+    base = RunConfig(model=model, estimator=estimator, eps=eps, seed=seed, model_params=params)
 
-    omega = raw.get("omega", 0.25)
+    def get(key):  # the value of an optional key, or its RunConfig default
+        return raw.get(key, getattr(base, key.lower()))
+
+    omega = get("omega")
     if not (_is_number(omega) and 0.0 < omega < 1.0):
         fail("omega", "must be a number in (0, 1)")
-    l0 = _integer("L0", raw.get("L0", 2), 1)
-    n_star = _integer("N_star", raw.get("N_star", 1000), 1)
-    m0 = _integer("M0", raw.get("M0", 1), 1)
-    l_max = _integer("L_max", raw.get("L_max", 20), l0)
-    is_enabled = raw.get("is_enabled", True)
+    is_enabled = get("is_enabled")
     if not isinstance(is_enabled, bool):
         fail("is_enabled", "must be a boolean")
-    diagnostics_levels = _integer("diagnostics_levels", raw.get("diagnostics_levels", 8), 1)
-    diagnostics_samples = _integer("diagnostics_samples", raw.get("diagnostics_samples", 20000), 2)
-    output_dir = _non_empty_string("output_dir", raw.get("output_dir", "."))
-
-    return RunConfig(
-        model=model,
-        estimator=estimator,
-        eps=eps,
-        seed=seed,
-        model_params=params,
+    l0 = _integer("L0", get("L0"), 1)
+    return dataclasses.replace(
+        base,
         omega=float(omega),
         l0=l0,
-        n_star=n_star,
-        m0=m0,
-        l_max=l_max,
+        n_star=_integer("N_star", get("N_star"), 1),
+        m0=_integer("M0", get("M0"), 1),
+        l_max=_integer("L_max", get("L_max"), l0),
         is_enabled=is_enabled,
-        output_dir=output_dir,
-        diagnostics_levels=diagnostics_levels,
-        diagnostics_samples=diagnostics_samples,
+        diagnostics_levels=_integer("diagnostics_levels", get("diagnostics_levels"), 1),
+        diagnostics_samples=_integer("diagnostics_samples", get("diagnostics_samples"), 2),
+        output_dir=_non_empty_string("output_dir", get("output_dir")),
     )
 
 
@@ -421,6 +395,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: cannot write {trace_path}: {io_exc}", file=sys.stderr)
             return 4
         print(f"error: {exc} (trace written to {trace_path})", file=sys.stderr)
+        return 3
+    except InnerUnderflowError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)

@@ -195,18 +195,16 @@ def _inner_logweights(
     y: np.ndarray,
     z_inner: np.ndarray,
     use_is: bool,
-    summary=None,
+    summary,
 ) -> np.ndarray:
     """Per-row inner log weights: log p(y | .) alone, or with the importance
     correction log p(.) - log q(. | y) under per-row Laplace fits.
 
-    ``summary`` is the :func:`~eig_mlmc.bayes.replicate_summary` of y when
-    the caller has it already.  The block is fitted once.  Rows the fit
-    marks ``unfit`` (non-finite derivatives at theta*) are overwritten with
-    prior-sampling weights.
+    ``summary`` is the :func:`~eig_mlmc.bayes.replicate_summary` of y.  The
+    block is fitted once.  Rows the fit marks ``unfit`` (non-finite
+    derivatives at theta*) are overwritten with prior-sampling weights, read
+    from their rows of the same summary.
     """
-    if summary is None:
-        summary = replicate_summary(model, y)
     if not use_is:
         return _prior_logweights(model, summary, z_inner)
     n, m, d = z_inner.shape
@@ -224,7 +222,8 @@ def _inner_logweights(
             "falling back to prior sampling for them",
             RuntimeWarning,
         )
-        logw[unfit] = _prior_logweights(model, replicate_summary(model, y[unfit]), z_inner[unfit])
+        rows = tuple(None if part is None else part[unfit] for part in summary)
+        logw[unfit] = _prior_logweights(model, rows, z_inner[unfit])
     return logw
 
 

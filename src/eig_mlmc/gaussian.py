@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import solve_triangular
 
-__all__ = ["GaussianDensity", "safeguarded_cholesky"]
+__all__ = ["GaussianDensity", "spd_cholesky", "safeguarded_cholesky"]
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -26,12 +26,7 @@ class GaussianDensity:
         cov = np.asarray(cov, dtype=float)
         if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
             raise ValueError("mean must be a vector and cov a matching square matrix")
-        if not np.allclose(cov, cov.T, rtol=1e-10, atol=0.0):
-            raise ValueError("covariance must be symmetric")
-        try:
-            chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("covariance must be positive definite") from exc
+        chol = spd_cholesky("covariance", cov)
         self.mean = mean
         self.cov = cov
         self.chol = chol
@@ -68,6 +63,17 @@ class GaussianDensity:
         """
         z = rng.standard_normal((size, self.dim))
         return self.mean + z @ self.chol.T
+
+
+def spd_cholesky(name: str, cov: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of the square matrix ``cov``; a ValueError naming
+    ``name`` unless it is symmetric (to rtol 1e-10) and positive definite."""
+    if not np.allclose(cov, cov.T, rtol=1e-10, atol=0.0):
+        raise ValueError(f"{name} must be symmetric")
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"{name} must be positive definite") from exc
 
 
 def safeguarded_cholesky(mat: np.ndarray) -> tuple[np.ndarray | None, float]:

@@ -13,7 +13,7 @@ from scipy.optimize import brentq
 from scipy.special import betainc
 
 from .bayes import BayesModel, ForwardMap
-from .gaussian import GaussianDensity
+from .gaussian import GaussianDensity, spd_cholesky
 
 __all__ = [
     "LinearGaussianSpec",
@@ -47,7 +47,8 @@ class LinearGaussianSpec:
     noise N(0, Sigma_eps), replicated n_e times.
 
     Defaults are the 2-parameter, 3-observation reference case used across
-    the test suite and demos.
+    the test suite and demos.  Both covariances must be symmetric positive
+    definite.
     """
 
     A: np.ndarray = field(default_factory=_default_a)
@@ -68,6 +69,8 @@ class LinearGaussianSpec:
             raise ValueError("covariance shapes do not match A")
         if self.n_e < 1:
             raise ValueError("n_e must be >= 1")
+        for name in ("Sigma_theta", "Sigma_eps"):
+            spd_cholesky(name, getattr(self, name))
 
 
 def linear_gaussian_analytic_eig(spec: LinearGaussianSpec) -> float:
@@ -78,11 +81,7 @@ def linear_gaussian_analytic_eig(spec: LinearGaussianSpec) -> float:
     n_e * L^-1 A Sigma_theta A^T L^-T + I (L the noise Cholesky factor) so the
     log determinant comes from a Cholesky factorisation of an SPD matrix.
     """
-    try:
-        chol_eps = np.linalg.cholesky(spec.Sigma_eps)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("Sigma_eps must be positive definite") from exc
-    s = solve_triangular(chol_eps, spec.A, lower=True)
+    s = solve_triangular(np.linalg.cholesky(spec.Sigma_eps), spec.A, lower=True)
     m = spec.n_e * s @ spec.Sigma_theta @ s.T + np.eye(spec.A.shape[0])
     m = 0.5 * (m + m.T)
     return float(np.sum(np.log(np.diag(np.linalg.cholesky(m)))))
@@ -155,7 +154,8 @@ class PkSpec:
 
     Parameters are (k_a, k_e, V) with independent lognormal priors; inference
     runs on the log parameters so the prior is exactly Gaussian.  ``schedule``
-    holds the measurement times in hours.
+    holds the measurement times in hours; ``dose`` and ``noise_var`` must be
+    finite and positive.
     """
 
     dose: float = 400.0
@@ -166,12 +166,14 @@ class PkSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "schedule", np.asarray(self.schedule, dtype=float))
-        if self.schedule.ndim != 1 or np.any(self.schedule < 0.0):
-            raise ValueError("schedule must be a vector of non-negative times")
+        if self.schedule.ndim != 1 or not self.schedule.size or np.any(self.schedule < 0.0):
+            raise ValueError("schedule must be a non-empty vector of non-negative times")
         if np.any(np.diff(self.schedule) <= 0.0):
             raise ValueError("schedule times must be strictly increasing")
         if any(v <= 0.0 for v in self.log_vars):
             raise ValueError("prior variances must be positive")
+        if not all(np.isfinite(v) and v > 0.0 for v in (self.dose, self.noise_var)):
+            raise ValueError("dose and noise_var must be finite and positive")
 
 
 # Rows per _pk_terms pass: the ~60 temporaries of shape (rows, J) then stay in cache.

@@ -9,7 +9,7 @@ from eig_mlmc import (
     LinearGaussianSpec,
     make_linear_model,
 )
-from eig_mlmc.bayes import response_log_likelihood
+from eig_mlmc.bayes import replicate_summary, response_log_likelihood
 from eig_mlmc.estimators import _block_values, _draw_outer, _inner_logweights, _logmeanexp
 from eig_mlmc.laplace import fit_batch
 
@@ -124,7 +124,7 @@ def plain_difference(model, config, level, stream):
         raise ValueError("difference level must be >= 1")
     m = config.inner_count(level)
     theta, _, y, z_inner = _draw_outer(model, m, 1, stream.generator())
-    logw = _inner_logweights(model, theta, y, z_inner, config.use_is)
+    logw = _inner_logweights(model, theta, y, z_inner, config.use_is, replicate_summary(model, y))
     return float(_logmeanexp(logw[:, : m // 2])[0] - _logmeanexp(logw)[0])
 
 

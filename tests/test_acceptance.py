@@ -27,6 +27,7 @@ from eig_mlmc import (
     sample_level_values,
     sample_p_values,
 )
+from eig_mlmc.bayes import replicate_summary
 from eig_mlmc.cli import main, parse_config
 from eig_mlmc.estimators import _draw_outer, _inner_logweights, per_sample_cost
 from eig_mlmc.models import PkSpec, sampling_schedule
@@ -192,7 +193,7 @@ def test_criterion_6a_antithetic_identity():
                 for seed in range(4):
                     rng = RandomStream(600 + seed).child(level).generator()
                     theta, _, y, z_inner = _draw_outer(model, m, 1, rng)
-                    logw = _inner_logweights(model, theta, y, z_inner, use_is)[0]
+                    logw = _inner_logweights(model, theta, y, z_inner, use_is, replicate_summary(model, y))[0]
                     w = np.exp(logw - np.max(logw))
                     full = math.fsum(w) / m
                     halves = 0.5 * (

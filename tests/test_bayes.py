@@ -191,13 +191,16 @@ def test_kernel_matches_replicate_loop(ne, w):
 def test_kernel_overflow_is_minus_inf_without_warning(ne):
     model = make_linear_model(LinearGaussianSpec(n_e=ne))
     g = np.zeros((2, 3, 3))
-    y = np.zeros((2, 3 * ne))
-    y[0, :3] = 1e200  # the first replicate of row 0 overflows every column's quad form
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        val = response_log_likelihood(model, g, y)
-    assert np.all(val[0] == -np.inf)
-    assert np.array_equal(val[1], replicate_loop_log_likelihood(model, g, y)[1])
+    # row 0: its first replicate overflows every column's quad form, or every
+    # entry is 1e308, which at ne > 1 overflows the sum of the replicate mean
+    for entries, big in ((slice(0, 3), 1e200), (slice(None), 1e308)):
+        y = np.zeros((2, 3 * ne))
+        y[0, entries] = big
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = response_log_likelihood(model, g, y)
+        assert np.all(val[0] == -np.inf)
+        assert np.array_equal(val[1], replicate_loop_log_likelihood(model, g, y)[1])
 
 
 # ---------------------------------------------------------------------------

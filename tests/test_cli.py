@@ -266,6 +266,36 @@ def test_main_nonconvergence_exit_3_with_trace(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_main_inner_underflow_exit_3_without_trace(tmp_path, capsys):
+    # A noise variance this small passes validation, but every inner weight of
+    # the first outer sample underflows: a one-line error and exit 3.
+    cfgfile = write_cfg(tmp_path, minimal(
+        model="pk", model_params={"noise_var": 1e-320}, diagnostics_levels=1,
+        diagnostics_samples=10, output_dir=str(tmp_path / "out"),
+    ))
+    assert main(["--config", cfgfile, "--mode", "rate-study"]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: all inner log-weights are -inf for outer sample 0\n"
+    assert not (tmp_path / "out" / "trace.json").exists()
+
+
+@pytest.mark.parametrize("model, integral, whole", [
+    ("linear", {"N_e": 2.0}, {"N_e": 2}),
+    ("pk", {"J": 4.0, "scheme": "beta"}, {"J": 4, "scheme": "beta"}),
+], ids=["N_e", "J"])
+def test_integral_float_model_params_run_as_integers(tmp_path, capsys, model, integral, whole):
+    files = []
+    for name, params in (("float", integral), ("int", whole)):
+        out = tmp_path / name
+        cfgfile = write_cfg(tmp_path, minimal(
+            model=model, model_params=params, diagnostics_levels=2, diagnostics_samples=200,
+        ), name=f"{name}.json")
+        assert main(["--config", cfgfile, "--mode", "rate-study", "--output-dir", str(out)]) == 0
+        files.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert files[0] == files[1]
+    capsys.readouterr()
+
+
 def test_byte_identical_across_thread_counts(tmp_path, capsys):
     cfgfile = write_cfg(tmp_path, minimal(
         eps=[0.05, 0.02],
@@ -314,11 +344,16 @@ def test_main_malformed_number_exit_2(tmp_path, capsys, extra, argv):
     ("pk", {"schedule": [3, 1]}),
     ("pk", {"dose": -1}),
     ("pk", {"noise_var": "0.01"}),
+    ("pk", {"schedule": []}),
+    ("pk", {"noise_var": 0}),
+    ("pk", {"dose": "1e400"}),
 ], ids=["N_e-string", "N_e-fraction", "A-shape", "A-ragged", "Sigma_theta-indefinite",
-        "Sigma_eps-asymmetric", "J-fraction", "schedule-decreasing", "dose-negative", "noise_var-string"])
+        "Sigma_eps-asymmetric", "J-fraction", "schedule-decreasing", "dose-negative", "noise_var-string",
+        "schedule-empty", "noise_var-zero", "dose-overflow"])
 def test_main_malformed_model_params_exit_2(tmp_path, capsys, model, params):
-    cfgfile = write_cfg(tmp_path, minimal(model=model, model_params=params, eps=[0.05],
-                                          output_dir=str(tmp_path / "out")))
+    # a JSON number beyond the float range reads as inf: write it unquoted
+    text = minimal(model=model, model_params=params, eps=[0.05], output_dir=str(tmp_path / "out"))
+    cfgfile = write_cfg(tmp_path, text.replace('"1e400"', "1e400"))
     assert main(["--config", cfgfile]) == 2
     assert "invalid value for" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

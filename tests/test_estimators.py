@@ -18,7 +18,7 @@ from eig_mlmc import (
     sample_p_values,
 )
 import eig_mlmc.estimators as estimators
-from eig_mlmc.bayes import response_log_likelihood
+from eig_mlmc.bayes import replicate_summary, response_log_likelihood
 from eig_mlmc.estimators import (
     _block_values,
     _draw_outer,
@@ -112,7 +112,7 @@ def test_antithetic_identity_on_drawn_weights(linear_model, seed, level, use_is)
     m = 2 ** level
     rng = RandomStream(seed).generator()
     theta, g, y, z_inner = _draw_outer(linear_model, m, 1, rng)
-    logw = _inner_logweights(linear_model, theta, y, z_inner, use_is)[0]
+    logw = _inner_logweights(linear_model, theta, y, z_inner, use_is, replicate_summary(linear_model, y))[0]
     scale = np.max(logw)
     w = [math.exp(v - scale) for v in logw]  # scaled weights, exact identity
     mean_full = math.fsum(w) / m
@@ -139,7 +139,7 @@ def test_block_summarises_replicates_once(monkeypatch, use_is):
     values = _block_values(model, 1, 8, RandomStream(4).generator(), use_is, antithetic=False)
     assert len(calls) == 1
     theta, g, y, z_inner = _draw_outer(model, 1, 8, RandomStream(4).generator())
-    logw = _inner_logweights(model, theta, y, z_inner, use_is)
+    logw = _inner_logweights(model, theta, y, z_inner, use_is, replicate_summary(model, y))
     expected = response_log_likelihood(model, g[:, None], y)[:, 0] - _logmeanexp(logw)
     assert np.array_equal(values, expected)
 
@@ -149,7 +149,7 @@ def test_halves_partition_in_stream_order(linear_model):
     # inner draws, not fresh ones.
     rng = RandomStream(5).generator()
     theta, g, y, z_inner = _draw_outer(linear_model, 4, 1, rng)
-    logw = _inner_logweights(linear_model, theta, y, z_inner, False)
+    logw = _inner_logweights(linear_model, theta, y, z_inner, False, replicate_summary(linear_model, y))
     assert logw.shape == (1, 4)
     direct = log_likelihood(
         linear_model,

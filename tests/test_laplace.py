@@ -13,6 +13,7 @@ from eig_mlmc import (
     make_pk_model,
 )
 from eig_mlmc import laplace
+from eig_mlmc.bayes import replicate_summary
 from eig_mlmc.estimators import _inner_logweights
 from eig_mlmc.gaussian import safeguarded_cholesky
 from eig_mlmc.laplace import _chol_batch, fit_batch
@@ -65,7 +66,10 @@ def test_log_is_weight_against_prior_proposal(linear_spec, linear_model):
     y = np.array([1.0, 2.0, 2.5])
     prior = linear_model.prior
     z = np.linalg.solve(prior.chol, theta - prior.mean)
-    w = _inner_logweights(linear_model, theta[None], y[None], z[None, None], use_is=False)[0, 0]
+    w = _inner_logweights(
+        linear_model, theta[None], y[None], z[None, None], use_is=False,
+        summary=replicate_summary(linear_model, y[None]),
+    )[0, 0]
     assert w == pytest.approx(log_likelihood(linear_model, theta, y)[0], rel=1e-13)
 
 
@@ -88,6 +92,7 @@ def test_log_is_weight_composes_three_densities(linear_spec, linear_model):
     # zero normals draw the fit's own mean
     w = _inner_logweights(
         linear_model, linear_spec.mu_theta[None], y[None], np.zeros((1, 1, 2)), use_is=True,
+        summary=replicate_summary(linear_model, y[None]),
     )[0, 0]
     assert w == pytest.approx(oracle, rel=1e-10)
 

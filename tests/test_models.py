@@ -37,6 +37,8 @@ def test_zero_map_gives_zero():
 def test_singular_noise_rejected():
     with pytest.raises(ValueError):
         linear_gaussian_analytic_eig(LinearGaussianSpec(Sigma_eps=np.zeros((3, 3))))
+    with pytest.raises(ValueError, match="Sigma_theta"):
+        LinearGaussianSpec(Sigma_theta=[[1.0, 2.0], [2.0, 1.0]])  # indefinite
 
 
 def gauss_hermite_eig_1d(a, sigma_theta, sigma_eps, mu_theta=0.0, nodes=80):
@@ -249,3 +251,10 @@ def test_pk_spec_validation():
         PkSpec(schedule=[-1.0, 1.0])
     with pytest.raises(ValueError):
         PkSpec(log_vars=(0.05, 0.0, 0.05))
+    with pytest.raises(ValueError):
+        PkSpec(schedule=[])
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            PkSpec(dose=bad)
+        with pytest.raises(ValueError):
+            PkSpec(noise_var=bad)
