@@ -59,12 +59,12 @@ class AdaptiveConfig:
     def __post_init__(self):
         if not 0.0 < self.omega < 1.0:
             raise ValueError("omega must lie in (0, 1)")
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
+        if not (math.isfinite(self.eps) and self.eps > 0.0):
+            raise ValueError("eps must be finite and positive")
         if self.l0 < 1:
             raise ValueError("l0 must be >= 1")
-        if self.n_star < 1:
-            raise ValueError("n_star must be >= 1")
+        if self.n_star < 2:
+            raise ValueError("n_star must be >= 2: a level's variance needs two samples")
 
 
 @dataclass(frozen=True)
@@ -105,18 +105,23 @@ class MlmcRunResult:
 
 def optimal_allocation(variances, costs, eps: float, omega: float) -> np.ndarray:
     """Per-level sample counts N_l = ceil((1-omega)^-1 eps^-2 sqrt(V_l/C_l)
-    * sum_l sqrt(V_l C_l)), with a floor of one sample where V_l = 0."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    * sum_l sqrt(V_l C_l)), with a floor of one sample where V_l = 0.
+
+    Raises ``ValueError`` when a count is not a 64-bit integer (eps so small
+    that eps^2 underflows, say) rather than clamping it.
+    """
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError("eps must be finite and positive")
     v = np.asarray(variances, dtype=float)
     c = np.asarray(costs, dtype=float)
-    if np.any(v < 0.0) or np.any(c <= 0.0):
+    if not (np.all(v >= 0.0) and np.all(c > 0.0)):
         raise ValueError("variances must be >= 0 and costs > 0")
     total = float(np.sum(np.sqrt(v * c)))
-    raw = np.sqrt(v / c) * total / ((1.0 - omega) * eps * eps)
-    n = np.ceil(raw).astype(int)
-    n[v == 0.0] = 1
-    return np.maximum(n, 1)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
+        raw = np.where(v == 0.0, 1.0, np.ceil(np.sqrt(v / c) * total / ((1.0 - omega) * eps * eps)))
+    if not np.all(raw < 2.0 ** 63):
+        raise ValueError(f"a sample count at eps {eps!r} does not fit a 64-bit integer")
+    return np.maximum(raw.astype(np.int64), 1)
 
 
 def estimate_rates(level_means, level_vars) -> tuple[float, float]:
@@ -187,9 +192,12 @@ def run_adaptive(
                 vals = sample_level_values(model, est_config, l, s.count, need, stream)
                 stats[l] = merge(s, stats_from_values(vals))
 
-        alloc = optimal_allocation(
-            [s.variance for s in stats], [cost_of(l) for l in range(len(stats))], eps, omega,
-        )
+        try:
+            alloc = optimal_allocation(
+                [s.variance for s in stats], [cost_of(l) for l in range(len(stats))], eps, omega,
+            )
+        except ValueError as exc:
+            raise NonConvergenceError(f"no sample allocation in round {round_idx}: {exc}", trace) from exc
         targets = [int(n) for n in alloc]
         need_more = any(n > s.count for n, s in zip(targets, stats))
 

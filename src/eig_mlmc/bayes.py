@@ -21,7 +21,6 @@ from .gaussian import GaussianDensity
 __all__ = [
     "ForwardMap",
     "BayesModel",
-    "response_log_likelihood",
     "fd_jacobian",
     "fd_hessian",
 ]
@@ -117,8 +116,15 @@ def replicate_summary(model: BayesModel, y: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def summary_log_likelihood(model: BayesModel, g: np.ndarray, summary) -> np.ndarray:
-    """:func:`response_log_likelihood` on a :func:`replicate_summary` of the
-    data, so that several calls on the same data reduce it once."""
+    """log p(y_b | .) from evaluated responses g (n, m, w) and the
+    :func:`replicate_summary` of data rows y (n, Ne*w), shape (n, m); a
+    summary of a single data row (1, Ne*w) is shared by every row of g.
+
+    The one Gaussian likelihood kernel, on the replicate mean ybar and
+    scatter S: sum_r |L^-1 (y_r - g)|^2 = Ne |L^-1 (ybar - g)|^2 + S.  The
+    grid term runs over (n, m, w), S over (n, Ne, w) once per data row, so
+    several calls on the same data reduce it once.
+    """
     n, m, w = g.shape
     mean, scatter = summary
     ne = model.replicates
@@ -130,17 +136,6 @@ def summary_log_likelihood(model: BayesModel, g: np.ndarray, summary) -> np.ndar
     # solve_triangular refuses non-finite inputs, so a nan is an overflow inside it (inf times 0)
     np.copyto(quad, np.inf, where=np.isnan(quad))
     return ne * model.noise.log_norm_const - 0.5 * quad
-
-
-def response_log_likelihood(model: BayesModel, g: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """log p(y_b | .) from evaluated responses g (n, m, w) and data y (n, Ne*w),
-    shape (n, m); a single data row (1, Ne*w) is shared by every row of g.
-
-    The one Gaussian likelihood kernel, on the replicate mean ybar and
-    scatter S: sum_r |L^-1 (y_r - g)|^2 = Ne |L^-1 (ybar - g)|^2 + S.  The
-    grid term runs over (n, m, w), S over (n, Ne, w) once per data row.
-    """
-    return summary_log_likelihood(model, g, replicate_summary(model, y))
 
 
 def _fd_eval(forward: ForwardMap, pts: np.ndarray, bad: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ into place, so a failed run never leaves a partial file.  Identical config
 and seed produce byte-identical files.
 
 Exit codes: 0 success, 2 configuration error, 3 the estimator could not
-finish (non-convergence or inner underflow), 4 I/O error.
+finish (non-convergence, allocation overflow or inner underflow), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -67,6 +67,14 @@ def _integer(key: str, value, minimum: int) -> int:
     if not (_is_number(value) and (isinstance(value, int) or value.is_integer()) and value >= minimum):
         raise ConfigError(f"invalid value for {key!r}: must be an integer >= {minimum}")
     return int(value)
+
+
+def _seed(value) -> int:
+    """``value`` as a seed: an integer in [0, 2**64), the range of ``RandomStream``."""
+    seed = _integer("seed", value, 0)
+    if seed >= 2 ** 64:
+        raise ConfigError("invalid value for 'seed': must be an integer < 2**64")
+    return seed
 
 
 def _non_empty_string(key: str, value) -> str:
@@ -170,7 +178,7 @@ def parse_config(text: str) -> RunConfig:
     ):
         fail("eps", "must be a non-empty list of positive finite numbers")
     eps = tuple(sorted((float(e) for e in eps), reverse=True))
-    seed = _integer("seed", raw.get("seed"), 0)
+    seed = _seed(raw.get("seed"))
     params = raw.get("model_params", {})
     if not isinstance(params, dict):
         fail("model_params", "must be an object")
@@ -195,7 +203,7 @@ def parse_config(text: str) -> RunConfig:
         base,
         omega=float(omega),
         l0=l0,
-        n_star=_integer("N_star", get("N_star"), 1),
+        n_star=_integer("N_star", get("N_star"), 2),
         m0=_integer("M0", get("M0"), 1),
         l_max=_integer("L_max", get("L_max"), l0),
         is_enabled=is_enabled,
@@ -375,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = parse_config(text)
         if args.seed is not None:
-            config = dataclasses.replace(config, seed=_integer("seed", args.seed, 0))
+            config = dataclasses.replace(config, seed=_seed(args.seed))
         if args.output_dir is not None:
             config = dataclasses.replace(config, output_dir=_non_empty_string("output_dir", args.output_dir))
     except ConfigError as exc:

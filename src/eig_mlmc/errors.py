@@ -20,7 +20,8 @@ class InnerUnderflowError(RuntimeError):
 
 
 class NonConvergenceError(RuntimeError):
-    """The adaptive driver exceeded its level cap before passing the bias test.
+    """The adaptive driver could not finish: it reached its level or round
+    cap before passing the bias test, or a sample allocation overflowed.
 
     ``trace`` holds the per-round allocation records collected so far.
     """

@@ -18,7 +18,6 @@ unchanged by how spans of work are split across rounds.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,13 +181,6 @@ def _draw_outer(model: BayesModel, m: int, n: int, rng: np.random.Generator):
     return theta, g, y, z_inner
 
 
-def _prior_logweights(model: BayesModel, summary, z_inner: np.ndarray) -> np.ndarray:
-    n, m, d = z_inner.shape
-    prior = model.prior
-    inner = (prior.mean + z_inner.reshape(n * m, d) @ prior.chol.T).reshape(n, m, d)
-    return _loglik_grid(model, inner, summary)
-
-
 def _inner_logweights(
     model: BayesModel,
     theta: np.ndarray,
@@ -197,34 +189,23 @@ def _inner_logweights(
     use_is: bool,
     summary,
 ) -> np.ndarray:
-    """Per-row inner log weights: log p(y | .) alone, or with the importance
-    correction log p(.) - log q(. | y) under per-row Laplace fits.
-
-    ``summary`` is the :func:`~eig_mlmc.bayes.replicate_summary` of y.  The
-    block is fitted once.  Rows the fit marks ``unfit`` (non-finite
-    derivatives at theta*) are overwritten with prior-sampling weights, read
-    from their rows of the same summary.
+    """Per-row inner log weights: log p(y | .) at prior draws, or with the
+    importance correction log p(.) - log q(. | y) at draws from per-row
+    Laplace fits, the block fitted once.  ``summary`` is the
+    :func:`~eig_mlmc.bayes.replicate_summary` of y.
     """
-    if not use_is:
-        return _prior_logweights(model, summary, z_inner)
     n, m, d = z_inner.shape
+    if not use_is:
+        prior = model.prior
+        inner = (prior.mean + z_inner.reshape(n * m, d) @ prior.chol.T).reshape(n, m, d)
+        return _loglik_grid(model, inner, summary)
     fits = laplace.fit_batch(model, theta, y)
     inner = fits.draw(z_inner)
-    logw = (
+    return (
         _loglik_grid(model, inner, summary)
         + model.prior.log_pdf(inner.reshape(n * m, d)).reshape(n, m)
         - fits.log_pdf(inner)
     )
-    unfit = fits.unfit
-    if np.any(unfit):
-        warnings.warn(
-            f"{int(np.sum(unfit))} outer samples had non-finite derivatives; "
-            "falling back to prior sampling for them",
-            RuntimeWarning,
-        )
-        rows = tuple(None if part is None else part[unfit] for part in summary)
-        logw[unfit] = _prior_logweights(model, rows, z_inner[unfit])
-    return logw
 
 
 def _block_values(
@@ -313,9 +294,10 @@ def sample_p_values(
     start: int,
     count: int,
     stream: RandomStream,
-    use_is: bool = False,
+    use_is: bool,
 ) -> np.ndarray:
-    """Batch of plain nested estimates (one outer sample, m inner samples)."""
+    """Batch of plain nested estimates (one outer sample, m inner samples);
+    ``use_is`` is the importance switch."""
     if m < 1:
         raise ValueError("m must be >= 1")
     return _span_values(
@@ -329,7 +311,7 @@ def nmc_estimate(
     n: int,
     m: int,
     stream: RandomStream,
-    use_is: bool = False,
+    use_is: bool,
 ) -> tuple[float, float, float]:
     """Nested Monte Carlo estimate of the expected information gain.
 

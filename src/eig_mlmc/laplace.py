@@ -13,6 +13,8 @@ single sample is a batch of one.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from .bayes import BayesModel
@@ -28,15 +30,12 @@ class LaplaceBatch:
 
     ``chol_prec[b]`` is the lower Cholesky factor of the inverse covariance,
     which serves both sampling (solve against its transpose) and density
-    evaluation without ever forming Sigma_hat.  ``unfit[b]`` marks a row whose
-    derivatives at theta* were not finite; it holds the prior fallback, and
-    its outer sample belongs to prior sampling instead.
+    evaluation without ever forming Sigma_hat.
     """
 
-    def __init__(self, theta_hat: np.ndarray, chol_prec: np.ndarray, unfit: np.ndarray):
+    def __init__(self, theta_hat: np.ndarray, chol_prec: np.ndarray):
         self.theta_hat = theta_hat
         self.chol_prec = chol_prec
-        self.unfit = unfit
         d = theta_hat.shape[-1]
         logdiag = np.log(np.diagonal(chol_prec, axis1=1, axis2=2))
         self.log_norm = -0.5 * d * _LOG_2PI + np.sum(logdiag, axis=1)
@@ -84,12 +83,13 @@ def fit_batch(model: BayesModel, theta_star: np.ndarray, y: np.ndarray) -> Lapla
     blocks (S the noise precision, P the prior precision, J, H the negated
     model derivatives), then Sigma_hat^-1 = J(theta_hat)'S J(theta_hat) + P.
     Matrices failing the positive-definite check go through an escalating
-    jitter ladder; rows that still fail fall back to the prior (mean theta*,
-    prior covariance).  Rows whose forward value or derivatives at theta* are
-    not finite are fitted on zeroed derivatives, which lands them on the same
-    fallback, and are flagged in ``unfit``.  The value and derivatives at
-    theta* come from one ``ForwardMap.value_and_derivatives`` call, so a
-    model with fused ``terms`` evaluates its forward map there once.
+    jitter ladder.  Every row that cannot be fitted gets the one fallback
+    N(theta*, Sigma_prior), a proposal whose importance weights still
+    estimate p(Y) without bias.  Rows whose forward value or derivatives at
+    theta* are not finite reach it through zeroed derivatives and are
+    counted in a ``RuntimeWarning``.  The value and derivatives at theta*
+    come from one ``ForwardMap.value_and_derivatives`` call, so a model with
+    fused ``terms`` evaluates its forward map there once.
     """
     ne = model.replicates
     w = model.forward.out_dim
@@ -102,6 +102,11 @@ def fit_batch(model: BayesModel, theta_star: np.ndarray, y: np.ndarray) -> Lapla
         & np.all(np.isfinite(g), axis=1)
     )
     if np.any(unfit):
+        warnings.warn(
+            f"{int(np.sum(unfit))} outer samples had non-finite derivatives; "
+            "their proposal is the prior fallback N(theta*, Sigma_prior)",
+            RuntimeWarning,
+        )
         # np.where keeps the operands' memory layout, so the other rows round as before
         jg = np.where(unfit[:, None, None], 0.0, jg)
         hg = np.where(unfit[:, None, None, None], 0.0, hg)
@@ -136,4 +141,4 @@ def fit_batch(model: BayesModel, theta_star: np.ndarray, y: np.ndarray) -> Lapla
     if np.any(failed):
         theta_hat[failed] = theta_star[failed]
         chol_prec[failed] = prior_chol_prec
-    return LaplaceBatch(theta_hat, chol_prec, unfit)
+    return LaplaceBatch(theta_hat, chol_prec)

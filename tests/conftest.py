@@ -9,7 +9,7 @@ from eig_mlmc import (
     LinearGaussianSpec,
     make_linear_model,
 )
-from eig_mlmc.bayes import replicate_summary, response_log_likelihood
+from eig_mlmc.bayes import replicate_summary, summary_log_likelihood
 from eig_mlmc.estimators import _block_values, _draw_outer, _inner_logweights, _logmeanexp
 from eig_mlmc.laplace import fit_batch
 
@@ -81,6 +81,12 @@ def point_mass_model():
 # ---------------------------------------------------------------------------
 # Single-sample views of the batched code (a batch of one)
 # ---------------------------------------------------------------------------
+
+
+def response_log_likelihood(model, g, y):
+    """The likelihood kernel on raw data rows y (n, Ne*w) or one shared row
+    (1, Ne*w): ``summary_log_likelihood`` on their replicate summary."""
+    return summary_log_likelihood(model, g, replicate_summary(model, y))
 
 
 def log_likelihood(model, theta, y):

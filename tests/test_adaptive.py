@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,17 @@ def test_allocation_validation():
         optimal_allocation([-1.0], [1.0], eps=0.1, omega=0.25)
     with pytest.raises(ValueError):
         optimal_allocation([1.0], [0.0], eps=0.1, omega=0.25)
+    for eps in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            optimal_allocation([1.0], [1.0], eps=eps, omega=0.25)
+    with pytest.raises(ValueError):  # the variance of a level with one sample
+        optimal_allocation([math.nan, 1.0], [1.0, 2.0], eps=0.1, omega=0.25)
+    # eps^2 underflows: the counts are not representable, which raises
+    # without a RuntimeWarning instead of clamping to one sample
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="64-bit"):
+            optimal_allocation([1.0, 0.5], [2.0, 5.0], 1e-200, 0.25)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -177,3 +189,8 @@ def test_adaptive_config_validation():
         AdaptiveConfig(eps=0.1, omega=1.0)
     with pytest.raises(ValueError):
         AdaptiveConfig(eps=0.1, l0=0)
+    for eps in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            AdaptiveConfig(eps=eps)
+    with pytest.raises(ValueError):  # one sample gives no level variance
+        AdaptiveConfig(eps=0.1, n_star=1)

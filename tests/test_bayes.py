@@ -15,11 +15,10 @@ from eig_mlmc import (
     make_linear_model,
     make_pk_model,
 )
-from eig_mlmc.bayes import response_log_likelihood
 from eig_mlmc.estimators import _draw_outer
 from eig_mlmc.models import PkSpec
 
-from conftest import log_likelihood, replicate_loop_log_likelihood, simulate_data
+from conftest import log_likelihood, replicate_loop_log_likelihood, response_log_likelihood, simulate_data
 
 
 def scalar_model(g_const=0.0):

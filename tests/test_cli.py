@@ -266,6 +266,15 @@ def test_main_nonconvergence_exit_3_with_trace(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_main_allocation_overflow_exit_3_with_trace(tmp_path, capsys):
+    # eps = 1e-200 passes validation, but eps^2 underflows and the first
+    # round's sample counts do not fit an integer: exit 3 and an empty trace.
+    cfgfile = write_cfg(tmp_path, minimal(eps=[1e-200], N_star=100, output_dir=str(tmp_path / "out")))
+    assert main(["--config", cfgfile]) == 3
+    assert strict_json((tmp_path / "out" / "trace.json").read_text()) == []
+    assert "64-bit integer" in capsys.readouterr().err
+
+
 def test_main_inner_underflow_exit_3_without_trace(tmp_path, capsys):
     # A noise variance this small passes validation, but every inner weight of
     # the first outer sample underflows: a one-line error and exit 3.
@@ -325,7 +334,11 @@ def test_byte_identical_across_thread_counts(tmp_path, capsys):
     ({"N_star": True}, []),
     ({"seed": True}, []),
     ({}, ["--seed", "-3"]),
-], ids=["L0-string", "omega-null", "samples-fraction", "N_star-bool", "seed-bool", "seed-override-negative"])
+    ({"N_star": 1}, []),
+    ({"seed": 2 ** 64}, []),
+    ({}, ["--seed", str(2 ** 64)]),
+], ids=["L0-string", "omega-null", "samples-fraction", "N_star-bool", "seed-bool", "seed-override-negative",
+        "N_star-one", "seed-2**64", "seed-override-2**64"])
 def test_main_malformed_number_exit_2(tmp_path, capsys, extra, argv):
     cfgfile = write_cfg(tmp_path, minimal(eps=[0.05], output_dir=str(tmp_path / "out"), **extra))
     assert main(["--config", cfgfile] + argv) == 2

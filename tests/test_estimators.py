@@ -18,7 +18,7 @@ from eig_mlmc import (
     sample_p_values,
 )
 import eig_mlmc.estimators as estimators
-from eig_mlmc.bayes import replicate_summary, response_log_likelihood
+from eig_mlmc.bayes import replicate_summary
 from eig_mlmc.estimators import (
     _block_values,
     _draw_outer,
@@ -28,7 +28,7 @@ from eig_mlmc.estimators import (
     stats_from_values,
 )
 
-from conftest import log_likelihood, one_value, plain_difference, point_mass_model
+from conftest import log_likelihood, one_value, plain_difference, point_mass_model, response_log_likelihood
 
 NO_IS = EstimatorConfig(m0=1, use_is=False)
 WITH_IS = EstimatorConfig(m0=1, use_is=True)
@@ -211,6 +211,7 @@ def test_pk_fd_levels_match_analytic():
 def test_non_finite_derivative_rows_fall_back_to_prior(oned_spec):
     from eig_mlmc.bayes import BayesModel, ForwardMap
     from eig_mlmc.gaussian import GaussianDensity
+    from eig_mlmc.laplace import fit_batch
 
     a = oned_spec.A
 
@@ -234,6 +235,22 @@ def test_non_finite_derivative_rows_fall_back_to_prior(oned_spec):
     assert values.shape == (400,)
     assert np.all(np.isfinite(values))
 
+    # The unfit rows keep the fit's own fallback proposal N(theta*, Sigma_prior):
+    # their weights are log p(y | x) + log p(x) - log N(x; theta*, Sigma_prior).
+    theta, _, y, z_inner = _draw_outer(model, 8, 64, RandomStream(74).generator())
+    unfit = theta[:, 0] > 0.8
+    assert 0 < np.sum(unfit) < 64
+    with pytest.warns(RuntimeWarning, match="non-finite derivatives"):
+        logw = _inner_logweights(model, theta, y, z_inner, True, replicate_summary(model, y))
+        x = fit_batch(model, theta, y).draw(z_inner)[unfit]
+    fallback = [GaussianDensity(t, oned_spec.Sigma_theta).log_pdf(xi) for t, xi in zip(theta[unfit], x)]
+    expected = (
+        response_log_likelihood(model, model.forward.eval(x.reshape(-1, 1)).reshape(-1, 8, 1), y[unfit])
+        + model.prior.log_pdf(x.reshape(-1, 1)).reshape(-1, 8)
+        - np.array(fallback)
+    )
+    assert np.allclose(logw[unfit], expected, rtol=1e-12, atol=1e-12)
+
 
 def test_underflow_error_names_outer_index():
     spec = LinearGaussianSpec(A=[[1.0]], mu_theta=[0.0], Sigma_theta=[[1.0]], Sigma_eps=[[1e-320]])
@@ -249,10 +266,10 @@ def test_span_fails_only_on_rows_it_returns():
     # succeeds, and a span that does reports exactly that index.
     spec = LinearGaussianSpec(A=[[1.0]], mu_theta=[0.0], Sigma_theta=[[8.2e6]], Sigma_eps=[[1e-300]])
     model = make_linear_model(spec)
-    head = sample_p_values(model, 1, 0, 10, RandomStream(0))
+    head = sample_p_values(model, 1, 0, 10, RandomStream(0), use_is=False)
     assert np.all(np.isfinite(head))
     with pytest.raises(InnerUnderflowError) as err:
-        sample_p_values(model, 1, 2000, 500, RandomStream(0))
+        sample_p_values(model, 1, 2000, 500, RandomStream(0), use_is=False)
     assert err.value.outer_index == 2177
 
 
@@ -365,7 +382,7 @@ def test_levels_use_distinct_streams(linear_model):
 
 
 def test_nmc_estimate_one_d_target(oned_model):
-    est, se, cost = nmc_estimate(oned_model, 20_000, 256, RandomStream(3))
+    est, se, cost = nmc_estimate(oned_model, 20_000, 256, RandomStream(3), use_is=False)
     assert cost == 20_000 * 257
     assert abs(est - 0.5 * math.log(2.0)) <= 3 * se + 5e-3  # small O(1/M) bias headroom
 
