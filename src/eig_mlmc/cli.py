@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adaptive import AdaptiveConfig, estimate_rates, nmc_cost_model, run_adaptive
+from .adaptive import AdaptiveConfig, bias_converged, estimate_rates, nmc_cost_model, run_adaptive
 from .bayes import BayesModel
 from .errors import InnerUnderflowError, NonConvergenceError
 from .estimators import (
@@ -249,6 +249,13 @@ def _csv(rows: list[tuple], header: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _mean_var(values: np.ndarray) -> tuple[float, float]:
+    """Mean and unbiased variance of a pilot or level batch; a variance past
+    the float range is inf, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.mean(values)), float(np.var(values, ddof=1))
+
+
 def run_rate_study(config: RunConfig) -> list[Path]:
     """Sample P_l and Z_l on levels 0..diagnostics_levels and write
     ``levels.csv`` and ``rate_summary.json``."""
@@ -266,11 +273,7 @@ def run_rate_study(config: RunConfig) -> list[Path]:
         zv = sample_level_values(model, est, level, 0, n, stream)
         cost = per_sample_cost(model, m, est.use_is)
         zs = stats_from_values(zv)
-        rows.append((
-            level,
-            float(np.mean(pv)), float(np.var(pv, ddof=1)),
-            zs.mean, zs.variance, zs.kurtosis, cost,
-        ))
+        rows.append((level, *_mean_var(pv), zs.mean, zs.variance, zs.kurtosis, cost))
         if level >= 1:
             corr_means.append(zs.mean)
             corr_vars.append(zs.variance)
@@ -293,26 +296,28 @@ def run_rate_study(config: RunConfig) -> list[Path]:
 
 
 def _pilot_nmc_plan(model, est, config, eps, stream):
-    """Choose (L, N) for a real nested run: L from the extrapolated bias of
-    pilot corrections, N from a pilot variance of P_L."""
-    n_pilot = PILOT_SAMPLES
-    means, variances = [], []
-    for level in range(1, 5):
-        zv = sample_level_values(model, est, level, 0, n_pilot, stream)
-        means.append(float(np.mean(zv)))
-        variances.append(float(np.var(zv, ddof=1)))
-    alpha_hat, _ = estimate_rates(means, variances)
-    target = math.sqrt(config.omega) * eps * (2.0 ** alpha_hat - 1.0)
+    """Choose (L, N) for a real nested run: L by the driver's bias test on
+    pilot corrections (extrapolated beyond level 4), N from a pilot variance
+    of P_L.  Raises ``NonConvergenceError`` when no level up to L_max passes
+    or N does not fit a 64-bit integer."""
     top = 4
-    level = top  # stays at top when the rates cannot be fitted (alpha_hat nan)
-    predicted = abs(means[-1])
-    while predicted > target and level < config.l_max:
-        level += 1
-        predicted = abs(means[-1]) * 2.0 ** (-alpha_hat * (level - top))
-    m = est.inner_count(level)
-    pv = sample_p_values(model, m, 0, n_pilot, stream, use_is=est.use_is)
-    var_pl = float(np.var(pv, ddof=1))
-    n = max(2, math.ceil(var_pl / ((1.0 - config.omega) * eps * eps)))
+    pilots = [_mean_var(sample_level_values(model, est, level, 0, PILOT_SAMPLES, stream))
+              for level in range(1, top + 1)]
+    means, variances = zip(*pilots)
+    alpha_hat, _ = estimate_rates(means, variances)
+    for level in range(min(top, config.l_max), config.l_max + 1):
+        mean = means[level - 1] if level <= top else abs(means[-1]) * 2.0 ** (-alpha_hat * (level - top))
+        if mean == 0.0 or bias_converged(mean, alpha_hat, eps, config.omega):
+            break
+    else:
+        raise NonConvergenceError(f"nested pilot: bias test failing up to the level cap {config.l_max}", [])
+    pv = sample_p_values(model, est.inner_count(level), 0, PILOT_SAMPLES, stream, use_is=est.use_is)
+    var_pl = _mean_var(pv)[1]
+    budget = (1.0 - config.omega) * eps * eps
+    if not (budget > 0.0 and var_pl / budget < 2.0 ** 63):
+        raise NonConvergenceError(
+            f"nested pilot: the sample count at eps {eps!r} does not fit a 64-bit integer", [])
+    n = max(2, math.ceil(var_pl / budget))
     return level, n, var_pl, alpha_hat
 
 
@@ -337,9 +342,7 @@ def run_estimate(config: RunConfig) -> list[Path]:
             pilot_stream = RandomStream(config.seed).child(3, i)
             pv = sample_p_values(model, m_top, 0, PILOT_SAMPLES, pilot_stream, use_is=est.use_is)
             nmc_cost = nmc_cost_model(
-                float(np.var(pv, ddof=1)),
-                per_sample_cost(model, m_top, est.use_is),
-                eps, config.omega,
+                _mean_var(pv)[1], per_sample_cost(model, m_top, est.use_is), eps, config.omega,
             )
             run_rows.append((eps, res.estimate, res.total_cost, top,
                              res.alpha_hat, res.beta_hat, nmc_cost))

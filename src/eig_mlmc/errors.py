@@ -20,10 +20,12 @@ class InnerUnderflowError(RuntimeError):
 
 
 class NonConvergenceError(RuntimeError):
-    """The adaptive driver could not finish: it reached its level or round
-    cap before passing the bias test, or a sample allocation overflowed.
+    """The adaptive driver or the nested pilot could not finish: it reached
+    its level or round cap before passing the bias test, or a sample
+    allocation overflowed.
 
-    ``trace`` holds the per-round allocation records collected so far.
+    ``trace`` holds the driver's per-round allocation records collected so
+    far; the nested pilot has none.
     """
 
     def __init__(self, message: str, trace: list):

@@ -77,13 +77,14 @@ class LevelStats:
 
     @property
     def mean(self) -> float:
-        return self.sum1 / self.count if self.count else math.nan
+        return _finite(lambda: self.sum1 / self.count) if self.count else math.nan
 
     @property
     def variance(self) -> float:
         if self.count < 2:
             return math.nan
-        return max(0.0, (self.sum2 - self.sum1 ** 2 / self.count) / (self.count - 1))
+        v = _finite(lambda: (self.sum2 - self.sum1 ** 2 / self.count) / (self.count - 1))
+        return v if math.isnan(v) else max(0.0, v)  # max(0.0, nan) would be 0.0
 
     @property
     def kurtosis(self) -> float:
@@ -94,8 +95,18 @@ class LevelStats:
         mu2 = self.sum2 / n - m * m
         if mu2 <= 0.0:
             return math.nan
-        mu4 = (self.sum4 - 4.0 * m * self.sum3 + 6.0 * m * m * self.sum2) / n - 3.0 * m ** 4
-        return mu4 / mu2 ** 2
+        return _finite(lambda: ((self.sum4 - 4.0 * m * self.sum3 + 6.0 * m * m * self.sum2) / n
+                                - 3.0 * m ** 4) / mu2 ** 2)
+
+
+def _finite(moment) -> float:
+    """``moment()``, or nan when it is not finite: the power sums left the
+    float range, where a Python float power raises ``OverflowError``."""
+    try:
+        value = moment()
+    except OverflowError:
+        return math.nan
+    return value if math.isfinite(value) else math.nan
 
 
 def merge(a: LevelStats, b: LevelStats) -> LevelStats:
@@ -111,13 +122,14 @@ def merge(a: LevelStats, b: LevelStats) -> LevelStats:
 def stats_from_values(values: np.ndarray) -> LevelStats:
     """Count and power sums of a batch of values."""
     v = np.asarray(values, dtype=float)
-    return LevelStats(
-        count=v.size,
-        sum1=float(np.sum(v)),
-        sum2=float(np.sum(v ** 2)),
-        sum3=float(np.sum(v ** 3)),
-        sum4=float(np.sum(v ** 4)),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # LevelStats reads such sums as nan
+        return LevelStats(
+            count=v.size,
+            sum1=float(np.sum(v)),
+            sum2=float(np.sum(v ** 2)),
+            sum3=float(np.sum(v ** 3)),
+            sum4=float(np.sum(v ** 4)),
+        )
 
 
 def per_sample_cost(model: BayesModel, m: int, use_is: bool) -> float:

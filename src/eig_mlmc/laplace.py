@@ -18,7 +18,6 @@ import warnings
 import numpy as np
 
 from .bayes import BayesModel
-from .gaussian import safeguarded_cholesky
 
 __all__ = ["LaplaceBatch", "fit_batch"]
 
@@ -55,9 +54,8 @@ class LaplaceBatch:
 
 def _chol_batch(mats: np.ndarray, fallback: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched Cholesky.  Matrices that are not positive definite are found by
-    bisecting the batch and retried one by one with the safeguarded jitter
-    ladder; those that exhaust it get the fallback factor.  Returns
-    (chols, failed_mask)."""
+    bisecting the batch; each gets the fallback factor, with no retry.
+    Returns (chols, failed_mask)."""
     out = np.empty_like(mats)
     failed = np.zeros(mats.shape[0], dtype=bool)
     spans = [(0, mats.shape[0])]
@@ -70,9 +68,8 @@ def _chol_batch(mats: np.ndarray, fallback: np.ndarray) -> tuple[np.ndarray, np.
                 mid = (lo + hi) // 2
                 spans += [(lo, mid), (mid, hi)]
                 continue
-            chol, _ = safeguarded_cholesky(mats[lo])
-            failed[lo] = chol is None
-            out[lo] = fallback if chol is None else chol
+            failed[lo] = True
+            out[lo] = fallback
     return out, failed
 
 
@@ -82,14 +79,15 @@ def fit_batch(model: BayesModel, theta_star: np.ndarray, y: np.ndarray) -> Lapla
     theta_hat = theta* - (J'S J + H'S E + P)^-1 J'S E summed over replicate
     blocks (S the noise precision, P the prior precision, J, H the negated
     model derivatives), then Sigma_hat^-1 = J(theta_hat)'S J(theta_hat) + P.
-    Matrices failing the positive-definite check go through an escalating
-    jitter ladder.  Every row that cannot be fitted gets the one fallback
-    N(theta*, Sigma_prior), a proposal whose importance weights still
-    estimate p(Y) without bias.  Rows whose forward value or derivatives at
-    theta* are not finite reach it through zeroed derivatives and are
-    counted in a ``RuntimeWarning``.  The value and derivatives at theta*
-    come from one ``ForwardMap.value_and_derivatives`` call, so a model with
-    fused ``terms`` evaluates its forward map there once.
+    Every row that cannot be fitted gets the one fallback N(theta*,
+    Sigma_prior), a proposal whose importance weights still estimate p(Y)
+    without bias: a matrix that fails its Cholesky factorisation, a
+    non-finite theta_hat or J(theta_hat), and rows whose forward value or
+    derivatives at theta* are not finite, which reach it through zeroed
+    derivatives and are counted in a ``RuntimeWarning``.  The value and
+    derivatives at theta* come from one ``ForwardMap.value_and_derivatives``
+    call, so a model with fused ``terms`` evaluates its forward map there
+    once.
     """
     ne = model.replicates
     w = model.forward.out_dim

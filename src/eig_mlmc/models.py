@@ -9,8 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.optimize import brentq
-from scipy.special import betainc
+from scipy.special import betaincinv
 
 from .bayes import BayesModel, ForwardMap
 from .gaussian import GaussianDensity, spd_cholesky
@@ -124,9 +123,8 @@ def sampling_schedule(scheme: str, J: int = 15) -> np.ndarray:
 
     even:      t_j = 0.3 + 1.6 * (j - 1)
     geometric: t_j = 0.94 * 1.25**(j - 1)
-    beta:      quantiles j/(J+1) of Beta(0.7, 1.2), scaled to [0, 24]; the
-               inverse CDF is solved by bracketed root finding on the
-               regularised incomplete beta function to 1e-10.
+    beta:      quantiles j/(J+1) of Beta(0.7, 1.2), scaled to [0, 24]: the
+               inverse of the regularised incomplete beta function.
     """
     if J < 1:
         raise ValueError("J must be >= 1")
@@ -136,11 +134,7 @@ def sampling_schedule(scheme: str, J: int = 15) -> np.ndarray:
     if scheme == "geometric":
         return 0.94 * 1.25 ** (j - 1.0)
     if scheme == "beta":
-        a, b = BETA_SHAPE
-        times = np.empty(J)
-        for i, u in enumerate(j / (J + 1.0)):
-            times[i] = brentq(lambda x: betainc(a, b, x) - u, 0.0, 1.0, xtol=1e-12)
-        return SCHEDULE_HORIZON * times
+        return SCHEDULE_HORIZON * betaincinv(*BETA_SHAPE, j / (J + 1.0))
     raise ValueError(f"unknown sampling scheme: {scheme!r}")
 
 
@@ -155,7 +149,7 @@ class PkSpec:
     Parameters are (k_a, k_e, V) with independent lognormal priors; inference
     runs on the log parameters so the prior is exactly Gaussian.  ``schedule``
     holds the measurement times in hours; ``dose`` and ``noise_var`` must be
-    finite and positive.
+    finite and positive, and ``1 / noise_var`` finite too.
     """
 
     dose: float = 400.0
@@ -174,6 +168,7 @@ class PkSpec:
             raise ValueError("prior variances must be positive")
         if not all(np.isfinite(v) and v > 0.0 for v in (self.dose, self.noise_var)):
             raise ValueError("dose and noise_var must be finite and positive")
+        spd_cholesky("noise_var", self.noise_var * np.eye(self.schedule.size))
 
 
 # Rows per _pk_terms pass: the ~60 temporaries of shape (rows, J) then stay in cache.

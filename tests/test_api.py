@@ -2,6 +2,8 @@ import ast
 import importlib
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import eig_mlmc
@@ -44,3 +46,11 @@ def test_exported_names_have_a_caller():
         unused += [f"{name}.{a}" for a in getattr(module, "__all__", ())
                    if a not in used and not re.search(rf"\b{re.escape(a)}\b", prose)]
     assert not unused
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # The beta schedule is one inverse-CDF call: no root finder is loaded.
+    code = "import sys, eig_mlmc.cli; print('scipy.optimize' in sys.modules)"
+    src = str(Path(eig_mlmc.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"

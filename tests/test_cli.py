@@ -276,16 +276,71 @@ def test_main_allocation_overflow_exit_3_with_trace(tmp_path, capsys):
 
 
 def test_main_inner_underflow_exit_3_without_trace(tmp_path, capsys):
-    # A noise variance this small passes validation, but every inner weight of
-    # the first outer sample underflows: a one-line error and exit 3.
+    # A dose this large passes validation, but without importance sampling
+    # every inner weight of the first outer sample underflows: a one-line
+    # error and exit 3.
     cfgfile = write_cfg(tmp_path, minimal(
-        model="pk", model_params={"noise_var": 1e-320}, diagnostics_levels=1,
+        model="pk", model_params={"dose": 1e160}, is_enabled=False, diagnostics_levels=1,
         diagnostics_samples=10, output_dir=str(tmp_path / "out"),
     ))
     assert main(["--config", cfgfile, "--mode", "rate-study"]) == 3
     err = capsys.readouterr().err
     assert err == "error: all inner log-weights are -inf for outer sample 0\n"
     assert not (tmp_path / "out" / "trace.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["estimate", "rate-study"])
+def test_main_overflowing_moments_are_nan(tmp_path, capsys, recwarn, mode):
+    # Without importance sampling and with noise_var 1e-300 the level values
+    # are of order 1e300 and their squares leave the float range.  Those
+    # moments are nan, never an OverflowError or a 0: the estimate stops at
+    # the allocation check (exit 3), the rate study writes them.
+    cfgfile = write_cfg(tmp_path, minimal(
+        model="pk", model_params={"noise_var": 1e-300}, is_enabled=False, diagnostics_levels=2,
+        diagnostics_samples=200, output_dir=str(tmp_path / "out"),
+    ))
+    code = main(["--config", cfgfile, "--mode", mode])
+    err = capsys.readouterr().err
+    assert not recwarn.list
+    if mode == "estimate":
+        assert code == 3
+        assert "no sample allocation in round 0" in err
+    else:
+        assert code == 0
+        lines = (tmp_path / "out" / "levels.csv").read_text().splitlines()
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        assert [r["var_Z"] for r in rows] == ["nan"] * 3
+        assert all(r["kurt_Z"] == "nan" for r in rows)
+        strict_json((tmp_path / "out" / "rate_summary.json").read_text())
+
+
+def test_main_nmc_tiny_eps_exit_3_with_trace(tmp_path, capsys):
+    # eps = 1e-200: no level up to L_max passes the nested pilot's bias
+    # test, and the run stops before any pilot above level 4.
+    cfgfile = write_cfg(tmp_path, minimal(
+        estimator="nmc", eps=[1e-200], L_max=4, output_dir=str(tmp_path / "out"),
+    ))
+    assert main(["--config", cfgfile]) == 3
+    assert strict_json((tmp_path / "out" / "trace.json").read_text()) == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: nested pilot: bias test failing up to the level cap 4")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("eps, code", [(0.2, 0), (0.05, 3)])
+def test_main_nmc_respects_l_max(tmp_path, capsys, eps, code):
+    # With L_max = 2 the nested run is at level 2 or does not run: the bias
+    # test passes there at eps 0.2 and fails at eps 0.05.
+    out = tmp_path / "out"
+    cfgfile = write_cfg(tmp_path, minimal(estimator="nmc", eps=[eps], L_max=2, output_dir=str(out)))
+    assert main(["--config", cfgfile]) == code
+    if code == 0:
+        lines = (out / "runs.csv").read_text().splitlines()
+        assert dict(zip(lines[0].split(","), lines[1].split(",")))["L"] == "2"
+    else:
+        assert not (out / "runs.csv").exists()
+        assert "level cap 2" in capsys.readouterr().err
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("model, integral, whole", [
@@ -360,9 +415,12 @@ def test_main_malformed_number_exit_2(tmp_path, capsys, extra, argv):
     ("pk", {"schedule": []}),
     ("pk", {"noise_var": 0}),
     ("pk", {"dose": "1e400"}),
+    ("pk", {"noise_var": 1e-320}),
+    ("linear", {"Sigma_eps": (1e-320 * np.eye(3)).tolist()}),
 ], ids=["N_e-string", "N_e-fraction", "A-shape", "A-ragged", "Sigma_theta-indefinite",
         "Sigma_eps-asymmetric", "J-fraction", "schedule-decreasing", "dose-negative", "noise_var-string",
-        "schedule-empty", "noise_var-zero", "dose-overflow"])
+        "schedule-empty", "noise_var-zero", "dose-overflow", "noise_var-precision-overflow",
+        "Sigma_eps-precision-overflow"])
 def test_main_malformed_model_params_exit_2(tmp_path, capsys, model, params):
     # a JSON number beyond the float range reads as inf: write it unquoted
     text = minimal(model=model, model_params=params, eps=[0.05], output_dir=str(tmp_path / "out"))

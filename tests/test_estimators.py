@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -253,7 +254,9 @@ def test_non_finite_derivative_rows_fall_back_to_prior(oned_spec):
 
 
 def test_underflow_error_names_outer_index():
-    spec = LinearGaussianSpec(A=[[1.0]], mu_theta=[0.0], Sigma_theta=[[1.0]], Sigma_eps=[[1e-320]])
+    # Residuals of order 1e6 against a noise precision of 1e300: every inner
+    # log-likelihood is -inf.
+    spec = LinearGaussianSpec(A=[[1.0]], mu_theta=[0.0], Sigma_theta=[[1e12]], Sigma_eps=[[1e-300]])
     model = make_linear_model(spec)
     with pytest.raises(InnerUnderflowError) as err:
         sample_p_values(model, 2, 0, 64, RandomStream(0), use_is=False)
@@ -299,6 +302,18 @@ def test_known_distribution_sanity():
     assert abs(stats.mean) <= 0.1
     assert abs(stats.variance - 1.0) <= 0.15
     assert abs(stats.kurtosis - 3.0) <= 0.8
+
+
+def test_overflowing_moments_are_nan_not_zero():
+    # Power sums past the float range: sum1 ** 2 raises OverflowError on a
+    # Python float, and max(0.0, inf - inf) would read 0.  Both are nan.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = stats_from_values(np.array([1e300, -1e300, 2e300, 1e300]))
+    assert s.mean == 7.5e299
+    assert math.isnan(s.variance) and math.isnan(s.kurtosis)
+    t = LevelStats(count=2, sum1=math.inf, sum2=math.inf)
+    assert math.isnan(t.mean) and math.isnan(t.variance)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from eig_mlmc import GaussianDensity, RandomStream
-from eig_mlmc.gaussian import safeguarded_cholesky
 
 
 def make_density(seed=0, dim=3):
@@ -63,27 +62,9 @@ def test_invalid_inputs_rejected():
         GaussianDensity(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
     with pytest.raises(ValueError):
         GaussianDensity(np.zeros(2), np.eye(3))
+    with pytest.raises(ValueError, match="finite inverse"):
+        GaussianDensity(np.zeros(2), 1e-320 * np.eye(2))  # precision 1e320 overflows
     g = GaussianDensity(np.zeros(2), np.eye(2))
     with pytest.raises(ValueError):
         g.log_pdf(np.zeros((1, 3)))
 
-
-def test_safeguarded_cholesky_jitter_ladder():
-    ok = np.eye(3)
-    chol, jitter = safeguarded_cholesky(ok)
-    assert jitter == 0.0
-    assert np.allclose(chol, np.eye(3))
-
-    # Slightly indefinite: the smallest jitter rung that exceeds the negative
-    # eigenvalue fixes it, so the eigenvalue shift is bounded by the jitter.
-    bad = np.diag([1.0, 1.0, -1e-9])
-    chol, jitter = safeguarded_cholesky(bad)
-    assert chol is not None
-    assert 0.0 < jitter <= 1e-4 * np.trace(bad) / 3 + 1e-12
-    fixed = chol @ chol.T
-    shift = np.abs(np.linalg.eigvalsh(fixed) - np.linalg.eigvalsh(bad))
-    assert np.max(shift) <= jitter * (1 + 1e-6) + 1e-15
-
-    # Hopeless: large negative eigenvalue exhausts the ladder.
-    chol, _ = safeguarded_cholesky(np.diag([1.0, -5.0]))
-    assert chol is None

@@ -39,6 +39,8 @@ def test_singular_noise_rejected():
         linear_gaussian_analytic_eig(LinearGaussianSpec(Sigma_eps=np.zeros((3, 3))))
     with pytest.raises(ValueError, match="Sigma_theta"):
         LinearGaussianSpec(Sigma_theta=[[1.0, 2.0], [2.0, 1.0]])  # indefinite
+    with pytest.raises(ValueError, match="Sigma_eps must have a finite inverse"):
+        LinearGaussianSpec(Sigma_eps=1e-320 * np.eye(3))
 
 
 def gauss_hermite_eig_1d(a, sigma_theta, sigma_eps, mu_theta=0.0, nodes=80):
@@ -258,3 +260,5 @@ def test_pk_spec_validation():
             PkSpec(dose=bad)
         with pytest.raises(ValueError):
             PkSpec(noise_var=bad)
+    with pytest.raises(ValueError, match="noise_var must have a finite inverse"):
+        PkSpec(noise_var=1e-320)  # 1 / noise_var overflows
