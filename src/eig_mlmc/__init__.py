@@ -22,6 +22,7 @@ from .estimators import (
     LevelStats,
     merge,
     nmc_estimate,
+    sample_level_pair,
     sample_level_values,
     sample_p_values,
 )
@@ -64,6 +65,7 @@ __all__ = [
     "optimal_allocation",
     "run_adaptive",
     "sample_level_values",
+    "sample_level_pair",
     "sample_p_values",
     "sampling_schedule",
 ]

@@ -32,6 +32,7 @@ from .estimators import (
     EstimatorConfig,
     nmc_estimate,
     per_sample_cost,
+    sample_level_pair,
     sample_level_values,
     sample_p_values,
     stats_from_values,
@@ -250,7 +251,7 @@ def _csv(rows: list[tuple], header: str) -> str:
 
 
 def _mean_var(values: np.ndarray) -> tuple[float, float]:
-    """Mean and unbiased variance of a pilot or level batch; a variance past
+    """Mean and unbiased variance of a pilot batch; a variance past
     the float range is inf, without a warning."""
     with np.errstate(over="ignore", invalid="ignore"):
         return float(np.mean(values)), float(np.var(values, ddof=1))
@@ -258,7 +259,9 @@ def _mean_var(values: np.ndarray) -> tuple[float, float]:
 
 def run_rate_study(config: RunConfig) -> list[Path]:
     """Sample P_l and Z_l on levels 0..diagnostics_levels and write
-    ``levels.csv`` and ``rate_summary.json``."""
+    ``levels.csv`` and ``rate_summary.json``.  One draw per level gives both:
+    P_l comes from the outer draws and inner weights of the Z_l block, so
+    at level 0 the two are the same values and their columns coincide."""
     model = config.build_model()
     est = config.estimator_config()
     stream = RandomStream(config.seed)
@@ -268,12 +271,10 @@ def run_rate_study(config: RunConfig) -> list[Path]:
     rows = []
     corr_means, corr_vars = [], []
     for level in range(config.diagnostics_levels + 1):
-        m = est.inner_count(level)
-        pv = sample_p_values(model, m, 0, n, stream, use_is=est.use_is)
-        zv = sample_level_values(model, est, level, 0, n, stream)
-        cost = per_sample_cost(model, m, est.use_is)
-        zs = stats_from_values(zv)
-        rows.append((level, *_mean_var(pv), zs.mean, zs.variance, zs.kurtosis, cost))
+        zv, pv = sample_level_pair(model, est, level, 0, n, stream)
+        cost = per_sample_cost(model, est.inner_count(level), est.use_is)
+        zs, ps = stats_from_values(zv), stats_from_values(pv)
+        rows.append((level, ps.mean, ps.variance, zs.mean, zs.variance, zs.kurtosis, cost))
         if level >= 1:
             corr_means.append(zs.mean)
             corr_vars.append(zs.variance)

@@ -33,6 +33,7 @@ __all__ = [
     "merge",
     "nmc_estimate",
     "sample_level_values",
+    "sample_level_pair",
     "sample_p_values",
     "per_sample_cost",
 ]
@@ -227,19 +228,23 @@ def _block_values(
     rng: np.random.Generator,
     use_is: bool,
     antithetic: bool,
-) -> np.ndarray:
-    """Values of n outer samples drawn from one generator; the inner grid and
-    the outer term share one replicate summary of the data."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Level values Z and plain nested values P of n outer samples drawn from
+    one generator.  P = log p(Y | theta) - log-mean of all m inner weights;
+    Z is the antithetic correction, or P itself (the same array) when not
+    ``antithetic``.  The inner grid and the outer term share one replicate
+    summary of the data."""
     theta, g, y, z_inner = _draw_outer(model, m, n, rng)
     summary = replicate_summary(model, y)
     logw = _inner_logweights(model, theta, y, z_inner, use_is, summary)
     log_full = _logmeanexp(logw)
-    if antithetic:
-        half = m // 2
-        log_a = _logmeanexp(logw[:, :half])
-        log_b = _logmeanexp(logw[:, half:])
-        return 0.5 * (log_a + log_b) - log_full
-    return summary_log_likelihood(model, g[:, None], summary)[:, 0] - log_full
+    p = summary_log_likelihood(model, g[:, None], summary)[:, 0] - log_full
+    if not antithetic:
+        return p, p
+    half = m // 2
+    log_a = _logmeanexp(logw[:, :half])
+    log_b = _logmeanexp(logw[:, half:])
+    return 0.5 * (log_a + log_b) - log_full, p
 
 
 def _span_values(
@@ -252,32 +257,58 @@ def _span_values(
     tag: int,
     use_is: bool,
     antithetic: bool,
-) -> np.ndarray:
-    """Values for outer indices [start, start + count) under the block layout.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Z and P for outer indices [start, start + count) under the block
+    layout; one array when not ``antithetic``.
 
     ``tag`` is the level for correction sampling and the inner count for
     plain sampling; together with ``purpose`` it pins the stream path.
-    Only the requested rows are checked, so an underflow reports the first
-    failing index of the span.
+    Nothing is checked here: see :func:`_check_finite`.
     """
     if count <= 0:
-        return np.empty(0)
+        return np.empty(0), np.empty(0)
     rows = _block_rows(m)
-    parts = []
+    z_parts, p_parts = [], []
     for b in range(start // rows, (start + count - 1) // rows + 1):
         rng = stream.child(purpose, tag, b).generator()
-        vals = _block_values(model, m, rows, rng, use_is, antithetic)
-        parts.append(vals[max(start - b * rows, 0):start + count - b * rows])
-    values = np.concatenate(parts)
-    bad = ~np.isfinite(values)
+        z, p = _block_values(model, m, rows, rng, use_is, antithetic)
+        cut = slice(max(start - b * rows, 0), start + count - b * rows)
+        z_parts.append(z[cut])
+        p_parts.append(p[cut])
+    z = np.concatenate(z_parts)
+    return z, np.concatenate(p_parts) if antithetic else z
+
+
+def _check_finite(start: int, *values: np.ndarray) -> None:
+    """Raise ``InnerUnderflowError`` at the first outer index, counted from
+    ``start``, where any of ``values`` is not finite.  Only returned rows are
+    checked, so the error names the first failing index of the span."""
+    bad = np.logical_or.reduce([~np.isfinite(v) for v in values])
     if np.any(bad):
         raise InnerUnderflowError(start + int(np.argmax(bad)))
-    return values
 
 
 # ---------------------------------------------------------------------------
 # Public sampling operations
 # ---------------------------------------------------------------------------
+
+
+def _level_span(
+    model: BayesModel,
+    config: EstimatorConfig,
+    level: int,
+    start: int,
+    count: int,
+    stream: RandomStream,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unchecked (Z, P) of a level on its correction streams."""
+    if level < 0:
+        raise ValueError("level must be >= 0")
+    m = config.inner_count(level)
+    return _span_values(
+        model, m, start, count, stream,
+        _PURPOSE_CORRECTION, level, config.use_is, antithetic=level >= 1,
+    )
 
 
 def sample_level_values(
@@ -291,13 +322,25 @@ def sample_level_values(
     """Batch of level-``level`` variable realisations for outer indices
     [start, start + count): the level-zero variable at level 0, antithetic
     corrections at levels >= 1.  ``config.use_is`` is the importance switch."""
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    m = config.inner_count(level)
-    return _span_values(
-        model, m, start, count, stream,
-        _PURPOSE_CORRECTION, level, config.use_is, antithetic=level >= 1,
-    )
+    z, _ = _level_span(model, config, level, start, count, stream)
+    _check_finite(start, z)
+    return z
+
+
+def sample_level_pair(
+    model: BayesModel,
+    config: EstimatorConfig,
+    level: int,
+    start: int,
+    count: int,
+    stream: RandomStream,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(Z, P) for outer indices [start, start + count): Z as
+    :func:`sample_level_values` gives it, and the plain nested values P with
+    M_l inner samples from the same outer draws, so at level 0 P is Z."""
+    z, p = _level_span(model, config, level, start, count, stream)
+    _check_finite(start, z, p)
+    return z, p
 
 
 def sample_p_values(
@@ -312,10 +355,12 @@ def sample_p_values(
     ``use_is`` is the importance switch."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return _span_values(
+    _, p = _span_values(
         model, m, start, count, stream,
         _PURPOSE_PLAIN, m, use_is, antithetic=False,
     )
+    _check_finite(start, p)
+    return p
 
 
 def nmc_estimate(

@@ -148,8 +148,9 @@ class PkSpec:
 
     Parameters are (k_a, k_e, V) with independent lognormal priors; inference
     runs on the log parameters so the prior is exactly Gaussian.  ``schedule``
-    holds the measurement times in hours; ``dose`` and ``noise_var`` must be
-    finite and positive, and ``1 / noise_var`` finite too.
+    holds the measurement times in hours; ``dose``, ``noise_var`` and the
+    prior variances ``log_vars`` must be finite and positive, with finite
+    inverses, and the prior means ``log_means`` finite.
     """
 
     dose: float = 400.0
@@ -164,10 +165,13 @@ class PkSpec:
             raise ValueError("schedule must be a non-empty vector of non-negative times")
         if np.any(np.diff(self.schedule) <= 0.0):
             raise ValueError("schedule times must be strictly increasing")
-        if any(v <= 0.0 for v in self.log_vars):
-            raise ValueError("prior variances must be positive")
+        if not all(np.isfinite(v) and v > 0.0 for v in self.log_vars):
+            raise ValueError("prior variances must be finite and positive")
+        if not all(np.isfinite(self.log_means)):
+            raise ValueError("prior means must be finite")
         if not all(np.isfinite(v) and v > 0.0 for v in (self.dose, self.noise_var)):
             raise ValueError("dose and noise_var must be finite and positive")
+        spd_cholesky("log_vars", np.diag(self.log_vars))
         spd_cholesky("noise_var", self.noise_var * np.eye(self.schedule.size))
 
 

@@ -119,7 +119,8 @@ def simulate_data(model, theta, stream):
 def one_value(model, m, stream, use_is, antithetic):
     """One level value drawn directly from ``stream`` by the block sampler
     with n = 1: the level-zero variable, or the antithetic correction."""
-    return float(_block_values(model, m, 1, stream.generator(), use_is, antithetic)[0])
+    z, _ = _block_values(model, m, 1, stream.generator(), use_is, antithetic)
+    return float(z[0])
 
 
 def plain_difference(model, config, level, stream):

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from eig_mlmc import RandomStream, estimate_rates, sample_level_values
 from eig_mlmc.cli import (
     ConfigError,
     RunConfig,
@@ -13,6 +14,7 @@ from eig_mlmc.cli import (
     run_estimate,
     run_rate_study,
 )
+from eig_mlmc.estimators import stats_from_values
 
 
 def minimal(**extra):
@@ -120,6 +122,31 @@ def test_rate_study_row_count_and_summary(tmp_path):
     summary = json.loads(Path(tmp_path, "rate_summary.json").read_text())
     assert 0.5 <= summary["alpha_hat"] <= 1.5
     assert 1.0 <= summary["beta_hat"] <= 2.5
+
+
+@pytest.mark.parametrize("is_enabled", [True, False])
+def test_rate_study_z_columns_are_the_level_values(tmp_path, is_enabled):
+    # One draw per level gives both variables: the Z columns and the fitted
+    # rates are those of sample_level_values on the same seed, bit for bit,
+    # and at level 0 the P columns repeat the Z columns.
+    cfg = parse_config(minimal(
+        model_params={"N_e": 3}, is_enabled=is_enabled, output_dir=str(tmp_path),
+        diagnostics_levels=3, diagnostics_samples=400,
+    ))
+    run_rate_study(cfg)
+    lines = Path(tmp_path, "levels.csv").read_text().splitlines()
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    model, est = cfg.build_model(), cfg.estimator_config()
+    means, variances = [], []
+    for level, row in enumerate(rows):
+        zs = stats_from_values(sample_level_values(model, est, level, 0, 400, RandomStream(cfg.seed)))
+        assert [row["mean_Z"], row["var_Z"], row["kurt_Z"]] == [repr(zs.mean), repr(zs.variance), repr(zs.kurtosis)]
+        if level >= 1:
+            means.append(zs.mean)
+            variances.append(zs.variance)
+    summary = strict_json(Path(tmp_path, "rate_summary.json").read_text())
+    assert (summary["alpha_hat"], summary["beta_hat"]) == estimate_rates(means, variances)
+    assert (rows[0]["mean_P"], rows[0]["var_P"]) == (rows[0]["mean_Z"], rows[0]["var_Z"])
 
 
 # ---------------------------------------------------------------------------

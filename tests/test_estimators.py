@@ -15,13 +15,16 @@ from eig_mlmc import (
     make_linear_model,
     merge,
     nmc_estimate,
+    sample_level_pair,
     sample_level_values,
     sample_p_values,
 )
 import eig_mlmc.estimators as estimators
 from eig_mlmc.bayes import replicate_summary
 from eig_mlmc.estimators import (
+    _block_rows,
     _block_values,
+    _check_finite,
     _draw_outer,
     _inner_logweights,
     _logmeanexp,
@@ -137,12 +140,40 @@ def test_block_summarises_replicates_once(monkeypatch, use_is):
     calls = []
     summarise = estimators.replicate_summary
     monkeypatch.setattr(estimators, "replicate_summary", lambda *a: calls.append(1) or summarise(*a))
-    values = _block_values(model, 1, 8, RandomStream(4).generator(), use_is, antithetic=False)
+    values, _ = _block_values(model, 1, 8, RandomStream(4).generator(), use_is, antithetic=False)
     assert len(calls) == 1
     theta, g, y, z_inner = _draw_outer(model, 1, 8, RandomStream(4).generator())
     logw = _inner_logweights(model, theta, y, z_inner, use_is, replicate_summary(model, y))
     expected = response_log_likelihood(model, g[:, None], y)[:, 0] - _logmeanexp(logw)
     assert np.array_equal(values, expected)
+
+
+@pytest.mark.parametrize("use_is", [False, True])
+def test_level_pair_takes_p_from_the_correction_block(use_is):
+    # Z of the pair is the level variable bit for bit, and P is the outer
+    # log-likelihood minus the log-mean of all M_l inner weights, rebuilt
+    # from the block generator the correction draws from.
+    model = make_linear_model(LinearGaussianSpec(n_e=10))
+    config = EstimatorConfig(m0=1, use_is=use_is)
+    stream = RandomStream(9)
+    for level in (0, 1, 3):
+        z, p = sample_level_pair(model, config, level, 0, 50, stream)
+        assert np.array_equal(z, sample_level_values(model, config, level, 0, 50, stream))
+        m = config.inner_count(level)
+        rng = stream.child(estimators._PURPOSE_CORRECTION, level, 0).generator()
+        theta, g, y, z_inner = _draw_outer(model, m, _block_rows(m), rng)
+        logw = _inner_logweights(model, theta, y, z_inner, use_is, replicate_summary(model, y))
+        expected = response_log_likelihood(model, g[:, None], y)[:, 0] - _logmeanexp(logw)
+        assert np.array_equal(p, expected[:50])
+        if level == 0:
+            assert np.array_equal(p, z)
+
+
+def test_finite_check_names_first_bad_index_of_either_array():
+    _check_finite(3, np.zeros(4), np.ones(4))
+    with pytest.raises(InnerUnderflowError) as err:
+        _check_finite(3, np.array([0.0, 0.0, -np.inf, 0.0]), np.array([0.0, np.nan, 0.0, 0.0]))
+    assert err.value.outer_index == 4
 
 
 def test_halves_partition_in_stream_order(linear_model):

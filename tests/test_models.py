@@ -262,3 +262,10 @@ def test_pk_spec_validation():
             PkSpec(noise_var=bad)
     with pytest.raises(ValueError, match="noise_var must have a finite inverse"):
         PkSpec(noise_var=1e-320)  # 1 / noise_var overflows
+    with pytest.raises(ValueError, match="log_vars must have a finite inverse"):
+        PkSpec(log_vars=(1e-320, 0.05, 0.05))  # 1 / 1e-320 overflows
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="prior variances"):
+            PkSpec(log_vars=(0.05, bad, 0.05))
+        with pytest.raises(ValueError, match="prior means"):
+            PkSpec(log_means=(0.0, bad, 3.0))
