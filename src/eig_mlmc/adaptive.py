@@ -63,6 +63,8 @@ class AdaptiveConfig:
             raise ValueError("eps must be finite and positive")
         if self.l0 < 1:
             raise ValueError("l0 must be >= 1")
+        if self.l_max < self.l0:
+            raise ValueError("l_max must be >= l0")
         if self.n_star < 2:
             raise ValueError("n_star must be >= 2: a level's variance needs two samples")
 

@@ -70,20 +70,6 @@ def _integer(key: str, value, minimum: int) -> int:
     return int(value)
 
 
-def _seed(value) -> int:
-    """``value`` as a seed: an integer in [0, 2**64), the range of ``RandomStream``."""
-    seed = _integer("seed", value, 0)
-    if seed >= 2 ** 64:
-        raise ConfigError("invalid value for 'seed': must be an integer < 2**64")
-    return seed
-
-
-def _non_empty_string(key: str, value) -> str:
-    if not (isinstance(value, str) and value):
-        raise ConfigError(f"invalid value for {key!r}: must be a non-empty string")
-    return value
-
-
 def _numeric_array(key: str, value) -> np.ndarray:
     """``value`` as a float array when it is a number or a nested list of
     finite numbers with a regular shape."""
@@ -99,10 +85,15 @@ def _numeric_array(key: str, value) -> np.ndarray:
     return arr
 
 
-def _model_spec(model: str, params: dict) -> LinearGaussianSpec | PkSpec:
-    """``model_params`` as the model's spec: the one conversion, run to check
-    a config and again to build its model.  The JSON types are checked here,
-    the values by the spec."""
+def _model_spec(model: str, params) -> LinearGaussianSpec | PkSpec:
+    """``model_params`` as the model's spec: the one conversion, run when a
+    ``RunConfig`` is made.  The keys and JSON types are checked here, the
+    values by the spec."""
+    if not isinstance(params, dict):
+        raise ConfigError("invalid value for 'model_params': must be an object")
+    bad = set(params) - (_LINEAR_KEYS if model == "linear" else _PK_KEYS)
+    if bad:
+        raise ConfigError(f"invalid value for 'model_params': unknown key {sorted(bad)[0]!r} for model {model!r}")
     if model == "linear":
         kwargs = {k: _numeric_array(k, v) for k, v in params.items() if k != "N_e"}
         if "N_e" in params:
@@ -129,6 +120,13 @@ def _model_spec(model: str, params: dict) -> LinearGaussianSpec | PkSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The settings of one run, checked when it is made.  A JSON config, a
+    CLI override (``dataclasses.replace``) and a config built in code run the
+    same checks, which raise ``ConfigError`` naming the JSON key, and keep
+    the values checked: eps sorted descending, integral numbers as ints,
+    and ``model_params`` converted once to the model's spec, which
+    ``build_model`` uses."""
+
     model: str
     estimator: str
     eps: tuple[float, ...]
@@ -144,16 +142,53 @@ class RunConfig:
     diagnostics_levels: int = 8
     diagnostics_samples: int = 20000
 
+    def __post_init__(self):
+        def fail(key, why):
+            raise ConfigError(f"invalid value for {key!r}: {why}")
+
+        def put(name, value):
+            object.__setattr__(self, name, value)
+
+        if self.model not in ("linear", "pk"):
+            fail("model", "must be 'linear' or 'pk'")
+        if self.estimator not in ("mlmc", "nmc"):
+            fail("estimator", "must be 'mlmc' or 'nmc'")
+        if not isinstance(self.eps, (list, tuple)) or not self.eps or not all(
+            _is_number(e) and math.isfinite(e) and e > 0 for e in self.eps
+        ):
+            fail("eps", "must be a non-empty list of positive finite numbers")
+        put("eps", tuple(sorted((float(e) for e in self.eps), reverse=True)))
+        put("seed", _integer("seed", self.seed, 0))
+        if self.seed >= 2 ** 64:  # the range of RandomStream
+            fail("seed", "must be an integer < 2**64")
+        put("_spec", _model_spec(self.model, self.model_params))
+        if not (_is_number(self.omega) and 0.0 < self.omega < 1.0):
+            fail("omega", "must be a number in (0, 1)")
+        put("omega", float(self.omega))
+        if not isinstance(self.is_enabled, bool):
+            fail("is_enabled", "must be a boolean")
+        put("l0", _integer("L0", self.l0, 1))
+        put("n_star", _integer("N_star", self.n_star, 2))
+        put("m0", _integer("M0", self.m0, 1))
+        put("l_max", _integer("L_max", self.l_max, self.l0))
+        put("diagnostics_levels", _integer("diagnostics_levels", self.diagnostics_levels, 1))
+        put("diagnostics_samples", _integer("diagnostics_samples", self.diagnostics_samples, 2))
+        if not (isinstance(self.output_dir, str) and self.output_dir):
+            fail("output_dir", "must be a non-empty string")
+
     def build_model(self) -> BayesModel:
-        spec = _model_spec(self.model, self.model_params)
-        return make_linear_model(spec) if self.model == "linear" else make_pk_model(spec)
+        return make_linear_model(self._spec) if self.model == "linear" else make_pk_model(self._spec)
 
     def estimator_config(self) -> EstimatorConfig:
         return EstimatorConfig(m0=self.m0, use_is=self.is_enabled)
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate a JSON run configuration, applying defaults."""
+    """A ``RunConfig`` from JSON text.  Only the syntax, the top-level object
+    and its keys are checked here; ``RunConfig`` checks the values.  An
+    absent ``estimator`` is ``mlmc``, an absent ``model``, ``eps`` or
+    ``seed`` is null (and rejected), and other absent keys take the
+    ``RunConfig`` defaults."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -163,55 +198,9 @@ def parse_config(text: str) -> RunConfig:
     unknown = set(raw) - _TOP_KEYS
     if unknown:
         raise ConfigError(f"unknown config key: {sorted(unknown)[0]!r}")
-
-    def fail(key, why):
-        raise ConfigError(f"invalid value for {key!r}: {why}")
-
-    model = raw.get("model")
-    if model not in ("linear", "pk"):
-        fail("model", "must be 'linear' or 'pk'")
-    estimator = raw.get("estimator", "mlmc")
-    if estimator not in ("mlmc", "nmc"):
-        fail("estimator", "must be 'mlmc' or 'nmc'")
-    eps = raw.get("eps")
-    if not isinstance(eps, list) or not eps or not all(
-        _is_number(e) and math.isfinite(e) and e > 0 for e in eps
-    ):
-        fail("eps", "must be a non-empty list of positive finite numbers")
-    eps = tuple(sorted((float(e) for e in eps), reverse=True))
-    seed = _seed(raw.get("seed"))
-    params = raw.get("model_params", {})
-    if not isinstance(params, dict):
-        fail("model_params", "must be an object")
-    allowed = _LINEAR_KEYS if model == "linear" else _PK_KEYS
-    bad = set(params) - allowed
-    if bad:
-        fail("model_params", f"unknown key {sorted(bad)[0]!r} for model {model!r}")
-    _model_spec(model, params)
-    base = RunConfig(model=model, estimator=estimator, eps=eps, seed=seed, model_params=params)
-
-    def get(key):  # the value of an optional key, or its RunConfig default
-        return raw.get(key, getattr(base, key.lower()))
-
-    omega = get("omega")
-    if not (_is_number(omega) and 0.0 < omega < 1.0):
-        fail("omega", "must be a number in (0, 1)")
-    is_enabled = get("is_enabled")
-    if not isinstance(is_enabled, bool):
-        fail("is_enabled", "must be a boolean")
-    l0 = _integer("L0", get("L0"), 1)
-    return dataclasses.replace(
-        base,
-        omega=float(omega),
-        l0=l0,
-        n_star=_integer("N_star", get("N_star"), 2),
-        m0=_integer("M0", get("M0"), 1),
-        l_max=_integer("L_max", get("L_max"), l0),
-        is_enabled=is_enabled,
-        diagnostics_levels=_integer("diagnostics_levels", get("diagnostics_levels"), 1),
-        diagnostics_samples=_integer("diagnostics_samples", get("diagnostics_samples"), 2),
-        output_dir=_non_empty_string("output_dir", get("output_dir")),
-    )
+    fields = {"model": None, "estimator": "mlmc", "eps": None, "seed": None}
+    fields.update((key.lower(), value) for key, value in raw.items())
+    return RunConfig(**fields)
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -296,6 +285,11 @@ def run_rate_study(config: RunConfig) -> list[Path]:
     return [levels_path, summary_path]
 
 
+def _pilot_var_p(model, est, m, stream) -> float:
+    """var(P) at inner count ``m`` from a plain pilot of PILOT_SAMPLES on ``stream``."""
+    return _mean_var(sample_p_values(model, m, 0, PILOT_SAMPLES, stream, use_is=est.use_is))[1]
+
+
 def _pilot_nmc_plan(model, est, config, eps, stream):
     """Choose (L, N) for a real nested run: L by the driver's bias test on
     pilot corrections (extrapolated beyond level 4), N from a pilot variance
@@ -312,8 +306,7 @@ def _pilot_nmc_plan(model, est, config, eps, stream):
             break
     else:
         raise NonConvergenceError(f"nested pilot: bias test failing up to the level cap {config.l_max}", [])
-    pv = sample_p_values(model, est.inner_count(level), 0, PILOT_SAMPLES, stream, use_is=est.use_is)
-    var_pl = _mean_var(pv)[1]
+    var_pl = _pilot_var_p(model, est, est.inner_count(level), stream)
     budget = (1.0 - config.omega) * eps * eps
     if not (budget > 0.0 and var_pl / budget < 2.0 ** 63):
         raise NonConvergenceError(
@@ -340,11 +333,8 @@ def run_estimate(config: RunConfig) -> list[Path]:
             res = run_adaptive(model, est, adapt)
             top = res.max_level
             m_top = est.inner_count(top)
-            pilot_stream = RandomStream(config.seed).child(3, i)
-            pv = sample_p_values(model, m_top, 0, PILOT_SAMPLES, pilot_stream, use_is=est.use_is)
-            nmc_cost = nmc_cost_model(
-                _mean_var(pv)[1], per_sample_cost(model, m_top, est.use_is), eps, config.omega,
-            )
+            var_pl = _pilot_var_p(model, est, m_top, RandomStream(config.seed).child(3, i))
+            nmc_cost = nmc_cost_model(var_pl, per_sample_cost(model, m_top, est.use_is), eps, config.omega)
             run_rows.append((eps, res.estimate, res.total_cost, top,
                              res.alpha_hat, res.beta_hat, nmc_cost))
             for rec in res.levels:
@@ -385,11 +375,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
         return 4
     try:
-        config = parse_config(text)
-        if args.seed is not None:
-            config = dataclasses.replace(config, seed=_seed(args.seed))
-        if args.output_dir is not None:
-            config = dataclasses.replace(config, output_dir=_non_empty_string("output_dir", args.output_dir))
+        overrides = {"seed": args.seed, "output_dir": args.output_dir}
+        config = dataclasses.replace(parse_config(text), **{k: v for k, v in overrides.items() if v is not None})
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

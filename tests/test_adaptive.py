@@ -189,6 +189,8 @@ def test_adaptive_config_validation():
         AdaptiveConfig(eps=0.1, omega=1.0)
     with pytest.raises(ValueError):
         AdaptiveConfig(eps=0.1, l0=0)
+    with pytest.raises(ValueError, match="l_max"):  # the hierarchy would start past its own cap
+        AdaptiveConfig(eps=0.05, l0=4, l_max=2)
     for eps in (math.nan, math.inf):
         with pytest.raises(ValueError):
             AdaptiveConfig(eps=eps)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eig_mlmc import RandomStream, estimate_rates, sample_level_values
+from eig_mlmc import RandomStream, cli, estimate_rates, sample_level_values
 from eig_mlmc.cli import (
     ConfigError,
     RunConfig,
@@ -63,6 +64,7 @@ def test_unknown_model_param_rejected():
 def test_eps_sorted_descending():
     cfg = parse_config(minimal(eps=[0.005, 0.02, 0.01]))
     assert cfg.eps == (0.02, 0.01, 0.005)
+    assert RunConfig(model="linear", estimator="mlmc", eps=(0.005, 0.02, 0.01), seed=1) == cfg
 
 
 def test_reference_linear_config_fields():
@@ -76,6 +78,38 @@ def test_reference_linear_config_fields():
     cfg = parse_config(minimal(model_params=params, eps=[0.005, 0.02], seed=77, omega=0.3))
     assert cfg == RunConfig(model="linear", estimator="mlmc", eps=(0.02, 0.005), seed=77,
                             model_params=params, omega=0.3)
+
+
+@pytest.mark.parametrize("extra, key", [
+    ({"model": "lineer"}, "model"),
+    ({"estimator": "MLMC"}, "estimator"),
+    ({"l0": 4, "l_max": 2}, "L_max"),
+], ids=["model", "estimator", "l_max-below-l0"])
+def test_run_config_in_code_is_checked(extra, key):
+    # A config built in code runs the checks of a JSON config, and the error
+    # names the JSON key.
+    fields = {"model": "linear", "estimator": "mlmc", "eps": (0.01,), "seed": 1, **extra}
+    with pytest.raises(ConfigError, match=f"invalid value for {key!r}"):
+        RunConfig(**fields)
+
+
+def test_replace_reruns_the_checks():
+    cfg = parse_config(minimal())
+    with pytest.raises(ConfigError, match="invalid value for 'seed'"):
+        dataclasses.replace(cfg, seed=-1)
+    with pytest.raises(ConfigError, match="invalid value for 'output_dir'"):
+        dataclasses.replace(cfg, output_dir="")
+
+
+def test_model_params_converted_once_per_config(monkeypatch):
+    calls = []
+    convert = cli._model_spec
+    monkeypatch.setattr(cli, "_model_spec", lambda *args: calls.append(args) or convert(*args))
+    cfg = parse_config(minimal(model="pk", model_params={"scheme": "even", "J": 4}))
+    assert len(calls) == 1
+    cfg.build_model()
+    cfg.build_model()
+    assert len(calls) == 1
 
 
 def test_pk_config_builds_model():
