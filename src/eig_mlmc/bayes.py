@@ -110,7 +110,8 @@ def replicate_summary(model: BayesModel, y: np.ndarray) -> tuple[np.ndarray, np.
     out = ~np.all(np.isfinite(dev), axis=(1, 2))
     mean[out], dev[out] = 0.0, 0.0
     # dev is a private temporary: solving in its buffer saves a (k, Ne, w) array
-    v = solve_triangular(model.noise.chol, dev.reshape(-1, w).T, lower=True, overwrite_b=True)
+    v = solve_triangular(model.noise.chol, dev.reshape(-1, w).T, lower=True, overwrite_b=True,
+                         check_finite=False)
     with np.errstate(over="ignore"):  # an overflowing scatter means density zero
         return mean, np.where(out, np.inf, np.sum(v * v, axis=0).reshape(-1, ne).sum(axis=1))
 
@@ -128,12 +129,14 @@ def summary_log_likelihood(model: BayesModel, g: np.ndarray, summary) -> np.ndar
     n, m, w = g.shape
     mean, scatter = summary
     ne = model.replicates
-    u = solve_triangular(model.noise.chol, (mean[:, None, :] - g).reshape(-1, w).T, lower=True)
-    with np.errstate(over="ignore"):  # an overflowing quad form means density zero
+    # a non-finite residual (an inf or nan response, or non-finite data) or an
+    # overflowing quad form means density zero: its nan or inf quad is inf below
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = solve_triangular(model.noise.chol, (mean[:, None, :] - g).reshape(-1, w).T, lower=True,
+                             check_finite=False)
         quad = np.sum(u * u, axis=0).reshape(n, m)
         if scatter is not None:
             quad = ne * quad + scatter[:, None]
-    # solve_triangular refuses non-finite inputs, so a nan is an overflow inside it (inf times 0)
     np.copyto(quad, np.inf, where=np.isnan(quad))
     return ne * model.noise.log_norm_const - 0.5 * quad
 

@@ -63,6 +63,15 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _finite(value) -> bool:
+    """``value`` is a number with a finite float value; an integer beyond
+    the float range is not."""
+    try:
+        return _is_number(value) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _integer(key: str, value, minimum: int) -> int:
     """``value`` as an int when it is integral (2 or 2.0, not a bool) and >= minimum."""
     if not (_is_number(value) and (isinstance(value, int) or value.is_integer()) and value >= minimum):
@@ -78,7 +87,7 @@ def _numeric_array(key: str, value) -> np.ndarray:
 
     try:
         arr = np.asarray(value, dtype=float) if numeric(value) else None
-    except ValueError:  # ragged nesting
+    except (ValueError, OverflowError):  # ragged nesting, or an integer beyond the float range
         arr = None
     if arr is None or not np.all(np.isfinite(arr)):
         raise ConfigError(f"invalid value for {key!r}: must be a regular array of finite numbers")
@@ -109,8 +118,8 @@ def _model_spec(model: str, params) -> LinearGaussianSpec | PkSpec:
             kwargs = {"schedule": sampling_schedule(scheme, j)}
         for key in ("dose", "noise_var"):
             if key in params:
-                if not _is_number(params[key]):
-                    raise ConfigError(f"invalid value for {key!r}: must be a number")
+                if not _finite(params[key]):
+                    raise ConfigError(f"invalid value for {key!r}: must be a finite number")
                 kwargs[key] = float(params[key])
     try:
         return LinearGaussianSpec(**kwargs) if model == "linear" else PkSpec(**kwargs)
@@ -154,7 +163,7 @@ class RunConfig:
         if self.estimator not in ("mlmc", "nmc"):
             fail("estimator", "must be 'mlmc' or 'nmc'")
         if not isinstance(self.eps, (list, tuple)) or not self.eps or not all(
-            _is_number(e) and math.isfinite(e) and e > 0 for e in self.eps
+            _finite(e) and e > 0 for e in self.eps
         ):
             fail("eps", "must be a non-empty list of positive finite numbers")
         put("eps", tuple(sorted((float(e) for e in self.eps), reverse=True)))

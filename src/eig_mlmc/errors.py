@@ -1,21 +1,26 @@
 """Exception types shared across the package.
 
-An inner underflow and non-convergence of the adaptive driver raise.  A
-non-finite derivative puts its outer sample on the prior fallback instead,
-and decay rates that cannot be fitted are nan.
+An outer sample without a finite value (its inner weights all underflow,
+or the model response at it is inf or nan) and non-convergence of the
+adaptive driver raise.  A non-finite derivative puts its outer sample on
+the prior fallback instead, an inner point whose response is not finite
+has weight zero, and decay rates that cannot be fitted are nan.
 """
 
 
 class InnerUnderflowError(RuntimeError):
-    """Every inner importance weight of one outer sample was -inf in log space.
+    """One outer sample has no finite value: every inner importance weight
+    was -inf in log space, or, when ``response_finite`` is false, the model
+    response at the outer sample was inf or nan, so its data are not finite.
 
     Carries the offending outer-sample index in ``outer_index``.
     """
 
-    def __init__(self, outer_index: int):
+    def __init__(self, outer_index: int, response_finite: bool = True):
         self.outer_index = outer_index
         super().__init__(
-            f"all inner log-weights are -inf for outer sample {outer_index}"
+            f"all inner log-weights are -inf for outer sample {outer_index}" if response_finite
+            else f"the model response is not finite at outer sample {outer_index}"
         )
 
 

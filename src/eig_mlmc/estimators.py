@@ -188,8 +188,8 @@ def _draw_outer(model: BayesModel, m: int, n: int, rng: np.random.Generator):
     ne = model.replicates
     theta = model.prior.sample(rng, size=n)
     g = model.forward.eval(theta)
-    z_noise = rng.standard_normal((n, ne, w))
-    y = (g[:, None, :] + z_noise @ model.noise.chol.T).reshape(n, ne * w)
+    z_noise = rng.standard_normal((n * ne, w))
+    y = (g[:, None, :] + (z_noise @ model.noise.chol.T).reshape(n, ne, w)).reshape(n, ne * w)
     z_inner = rng.standard_normal((n, m, model.prior.dim))
     return theta, g, y, z_inner
 
@@ -204,7 +204,9 @@ def _inner_logweights(
 ) -> np.ndarray:
     """Per-row inner log weights: log p(y | .) at prior draws, or with the
     importance correction log p(.) - log q(. | y) at draws from per-row
-    Laplace fits, the block fitted once.  ``summary`` is the
+    Laplace fits, the block fitted once.  A draw x = theta_hat + L'^-1 z
+    has L'(x - theta_hat) = z, so log q there is ``log_norm - |z|^2 / 2``,
+    read from the inner normals without evaluating q.  ``summary`` is the
     :func:`~eig_mlmc.bayes.replicate_summary` of y.
     """
     n, m, d = z_inner.shape
@@ -214,10 +216,11 @@ def _inner_logweights(
         return _loglik_grid(model, inner, summary)
     fits = laplace.fit_batch(model, theta, y)
     inner = fits.draw(z_inner)
+    log_q = fits.log_norm[:, None] - 0.5 * np.einsum("bmi,bmi->bm", z_inner, z_inner)
     return (
         _loglik_grid(model, inner, summary)
         + model.prior.log_pdf(inner.reshape(n * m, d)).reshape(n, m)
-        - fits.log_pdf(inner)
+        - log_q
     )
 
 
@@ -233,18 +236,25 @@ def _block_values(
     one generator.  P = log p(Y | theta) - log-mean of all m inner weights;
     Z is the antithetic correction, or P itself (the same array) when not
     ``antithetic``.  The inner grid and the outer term share one replicate
-    summary of the data."""
+    summary of the data.
+
+    A row without a finite value is nan when the model response at its
+    theta is not finite, and +inf otherwise (all its inner log-weights are
+    -inf), so that :func:`_check_finite` can name the cause."""
     theta, g, y, z_inner = _draw_outer(model, m, n, rng)
     summary = replicate_summary(model, y)
     logw = _inner_logweights(model, theta, y, z_inner, use_is, summary)
     log_full = _logmeanexp(logw)
-    p = summary_log_likelihood(model, g[:, None], summary)[:, 0] - log_full
-    if not antithetic:
-        return p, p
-    half = m // 2
-    log_a = _logmeanexp(logw[:, :half])
-    log_b = _logmeanexp(logw[:, half:])
-    return 0.5 * (log_a + log_b) - log_full, p
+    with np.errstate(invalid="ignore"):  # -inf - -inf in a row without a finite value
+        z = p = summary_log_likelihood(model, g[:, None], summary)[:, 0] - log_full
+        if antithetic:
+            half = m // 2
+            z = 0.5 * (_logmeanexp(logw[:, :half]) + _logmeanexp(logw[:, half:])) - log_full
+    bad_response = ~np.all(np.isfinite(g), axis=1)
+    for v in (z, p):  # one array twice when not antithetic: marking it again changes nothing
+        v[np.isnan(v)] = np.inf
+        v[bad_response] = np.nan
+    return z, p
 
 
 def _span_values(
@@ -281,11 +291,14 @@ def _span_values(
 
 def _check_finite(start: int, *values: np.ndarray) -> None:
     """Raise ``InnerUnderflowError`` at the first outer index, counted from
-    ``start``, where any of ``values`` is not finite.  Only returned rows are
-    checked, so the error names the first failing index of the span."""
+    ``start``, where any of ``values`` is not finite; a nan there marks a
+    non-finite model response (see :func:`_block_values`).  Only returned
+    rows are checked, so the error names the first failing index of the
+    span."""
     bad = np.logical_or.reduce([~np.isfinite(v) for v in values])
     if np.any(bad):
-        raise InnerUnderflowError(start + int(np.argmax(bad)))
+        i = int(np.argmax(bad))
+        raise InnerUnderflowError(start + i, response_finite=not any(np.isnan(v[i]) for v in values))
 
 
 # ---------------------------------------------------------------------------

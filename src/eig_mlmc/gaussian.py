@@ -1,4 +1,4 @@
-"""Multivariate Gaussian density with cached Cholesky factor.
+"""Multivariate Gaussian density with cached Cholesky factor and its inverse.
 
 Used for priors, observation noise, and fitted importance distributions; the
 prior of a :class:`eig_mlmc.bayes.BayesModel` is a ``GaussianDensity``.
@@ -15,11 +15,12 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 class GaussianDensity:
-    """N(mean, cov) with the lower Cholesky factor, the precision and the log
-    normaliser computed once.
+    """N(mean, cov) with the lower Cholesky factor L, its inverse, the
+    precision and the log normaliser computed once.
 
-    All density arithmetic stays in log space.  ``log_pdf`` and ``sample``
-    work on batches of shape (n, dim).
+    All density arithmetic stays in log space.  ``log_pdf`` whitens with the
+    cached inverse factor, ``sample`` colours with L; both work on batches of
+    shape (n, dim).
     """
 
     def __init__(self, mean, cov):
@@ -27,10 +28,11 @@ class GaussianDensity:
         cov = np.asarray(cov, dtype=float)
         if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
             raise ValueError("mean must be a vector and cov a matching square matrix")
-        chol, precision = spd_cholesky("covariance", cov)
+        chol, inv_chol, precision = spd_cholesky("covariance", cov)
         self.mean = mean
         self.cov = cov
         self.chol = chol
+        self.inv_chol = inv_chol
         self.precision = precision
         self.log_norm_const = float(
             -0.5 * mean.size * LOG_2PI - np.sum(np.log(np.diag(chol)))
@@ -45,8 +47,8 @@ class GaussianDensity:
         pts = np.asarray(x, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise ValueError(f"expected points of shape (n, {self.dim})")
-        u = solve_triangular(self.chol, (pts - self.mean).T, lower=True)
-        return self.log_norm_const - 0.5 * np.sum(u * u, axis=0)
+        u = (pts - self.mean) @ self.inv_chol.T
+        return self.log_norm_const - 0.5 * np.einsum("ni,ni->n", u, u)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw a (size, dim) batch.
@@ -58,10 +60,10 @@ class GaussianDensity:
         return self.mean + z @ self.chol.T
 
 
-def spd_cholesky(name: str, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower Cholesky factor and inverse of the square matrix ``cov``; a
-    ValueError naming ``name`` unless it is symmetric (to rtol 1e-10),
-    positive definite and its inverse is finite."""
+def spd_cholesky(name: str, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lower Cholesky factor L, its inverse and the inverse of the square
+    matrix ``cov``; a ValueError naming ``name`` unless it is symmetric (to
+    rtol 1e-10), positive definite and its inverse is finite."""
     if not np.allclose(cov, cov.T, rtol=1e-10, atol=0.0):
         raise ValueError(f"{name} must be symmetric")
     try:
@@ -73,4 +75,4 @@ def spd_cholesky(name: str, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         precision = inv_l.T @ inv_l
     if not np.all(np.isfinite(precision)):
         raise ValueError(f"{name} must have a finite inverse")
-    return chol, precision
+    return chol, inv_l, precision

@@ -27,9 +27,10 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 class LaplaceBatch:
     """Laplace fits for a batch of outer samples, held in precision form.
 
-    ``chol_prec[b]`` is the lower Cholesky factor of the inverse covariance,
-    which serves both sampling (solve against its transpose) and density
-    evaluation without ever forming Sigma_hat.
+    ``chol_prec[b]`` is the lower Cholesky factor L of the inverse
+    covariance, so Sigma_hat is never formed: ``draw`` maps normals z to
+    theta_hat + L'^-1 z by back substitution, and the log density there is
+    ``log_norm - |z|^2 / 2``, which the sampler reads from z itself.
     """
 
     def __init__(self, theta_hat: np.ndarray, chol_prec: np.ndarray):
@@ -40,13 +41,22 @@ class LaplaceBatch:
         self.log_norm = -0.5 * d * _LOG_2PI + np.sum(logdiag, axis=1)
 
     def draw(self, z: np.ndarray) -> np.ndarray:
-        """Map standard normals (B, M, d) to samples of the fitted Gaussians."""
-        lt = np.swapaxes(self.chol_prec, 1, 2)
-        x = np.linalg.solve(lt, np.swapaxes(z, 1, 2))
-        return self.theta_hat[:, None, :] + np.swapaxes(x, 1, 2)
+        """Map standard normals (B, M, d) to samples of the fitted Gaussians:
+        L' x = z solved by back substitution over d, each step vectorised
+        over the rows and inner samples."""
+        chol, d = self.chol_prec, z.shape[-1]
+        x = np.empty_like(z)
+        for i in reversed(range(d)):
+            acc = z[..., i]
+            for j in range(i + 1, d):
+                acc = acc - chol[:, j, i, None] * x[..., j]
+            x[..., i] = acc / chol[:, i, i, None]
+        return self.theta_hat[:, None, :] + x
 
     def log_pdf(self, thetas: np.ndarray) -> np.ndarray:
-        """Log density of (B, M, d) points under the per-row fits."""
+        """Log density of (B, M, d) points under the per-row fits.  The
+        sampler does not call it: it reads log q at its draws from the
+        normals."""
         v = thetas - self.theta_hat[:, None, :]
         u = np.matmul(v, self.chol_prec)
         return self.log_norm[:, None] - 0.5 * np.sum(u * u, axis=-1)
@@ -110,7 +120,8 @@ def fit_batch(model: BayesModel, theta_star: np.ndarray, y: np.ndarray) -> Lapla
         hg = np.where(unfit[:, None, None, None], 0.0, hg)
 
     b = theta_star.shape[0]
-    esum = y.reshape(b, ne, w).sum(axis=1) - ne * g      # sum of residual blocks
+    with np.errstate(invalid="ignore"):                  # inf - inf on an unfit row
+        esum = y.reshape(b, ne, w).sum(axis=1) - ne * g  # sum of residual blocks
     s = esum @ prec                                      # (B, w), Sigma_eps^-1 E summed
     s[unfit] = 0.0                                       # so an unfit row's step is zero
 

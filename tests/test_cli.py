@@ -462,6 +462,22 @@ def test_main_malformed_number_exit_2(tmp_path, capsys, extra, argv):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("model, extra", [
+    ("linear", {"eps": ["BIG"]}),
+    ("linear", {"model_params": {"A": [["BIG", 0.0], [0.0, 1.0], [1.0, 1.0]]}}),
+    ("pk", {"model_params": {"dose": "BIG"}}),
+    ("pk", {"model_params": {"noise_var": "BIG"}}),
+], ids=["eps", "A", "dose", "noise_var"])
+def test_main_integer_beyond_float_range_exit_2(tmp_path, capsys, model, extra):
+    # JSON reads 1 followed by 400 zeros as a Python int that no float holds
+    key = "eps" if "eps" in extra else next(iter(extra["model_params"]))
+    text = minimal(**{"model": model, "eps": [0.05], "output_dir": str(tmp_path / "out"), **extra})
+    cfgfile = write_cfg(tmp_path, text.replace('"BIG"', "1" + "0" * 400))
+    assert main(["--config", cfgfile]) == 2
+    assert f"invalid value for {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("model, params", [
     ("linear", {"N_e": "two"}),
     ("linear", {"N_e": 2.5}),

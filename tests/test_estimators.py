@@ -7,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eig_mlmc import (
+    BayesModel,
     EstimatorConfig,
+    ForwardMap,
+    GaussianDensity,
     InnerUnderflowError,
     LevelStats,
     LinearGaussianSpec,
@@ -293,6 +296,39 @@ def test_underflow_error_names_outer_index():
         sample_p_values(model, 2, 0, 64, RandomStream(0), use_is=False)
     assert err.value.outer_index >= 0
     assert str(err.value.outer_index) in str(err.value)
+
+
+@pytest.mark.parametrize("use_is", [True, False], ids=["is", "no-is"])
+@pytest.mark.parametrize("response", [np.inf, np.nan], ids=["inf", "nan"])
+def test_non_finite_response_names_its_outer_sample(use_is, response):
+    # A 2-d linear map whose response is inf or nan where theta_1 > 2.  An
+    # outer sample there has no finite data, and the package's own error
+    # names it and the cause (outer sample 21 here); inner points there have
+    # weight zero (7 of the prior draws before it), so the span before it is
+    # finite.  No numpy warning is raised on the way: the only warning is
+    # fit_batch's count of rows on the prior fallback.
+    def fn(t):
+        out = t.copy()
+        out[t[:, 0] > 2.0] = response
+        return out
+
+    model = BayesModel(
+        GaussianDensity(np.zeros(2), np.eye(2)),
+        ForwardMap(fn, 2, jac=lambda t: np.broadcast_to(np.eye(2), t.shape[:-1] + (2, 2)).copy(),
+                   hess=lambda t: np.zeros(t.shape[:-1] + (2, 2, 2))),
+        GaussianDensity(np.zeros(2), 0.1 * np.eye(2)),
+    )
+    config = EstimatorConfig(use_is=use_is)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InnerUnderflowError, match="model response is not finite") as err:
+            sample_level_values(model, config, 4, 0, 1000, RandomStream(0))
+        first = err.value.outer_index
+        head = sample_level_values(model, config, 4, 0, first, RandomStream(0))
+    assert f"outer sample {first}" in str(err.value)
+    assert first >= 10 and np.all(np.isfinite(head))
+    assert all("had non-finite derivatives" in str(w.message) for w in caught)
+    assert bool(caught) == use_is
 
 
 def test_span_fails_only_on_rows_it_returns():

@@ -14,11 +14,11 @@ from eig_mlmc import (
     make_pk_model,
 )
 from eig_mlmc.bayes import replicate_summary
-from eig_mlmc.estimators import _inner_logweights
-from eig_mlmc.laplace import _chol_batch, fit_batch
+from eig_mlmc.estimators import _draw_outer, _inner_logweights
+from eig_mlmc.laplace import LaplaceBatch, _chol_batch, fit_batch
 from eig_mlmc.models import PkSpec
 
-from conftest import laplace_density, log_likelihood, simulate_data
+from conftest import laplace_density, log_likelihood, point_mass_model, simulate_data
 
 
 def exact_linear_posterior(spec, y):
@@ -313,3 +313,67 @@ def test_fd_non_finite_row_falls_back_to_prior():
         assert fit.chol_prec[0, 0, 0] == 1.0
         assert fit.theta_hat[1, 0] == pytest.approx(0.5 - 10.0 / 101.0, rel=1e-8)
         assert fit.chol_prec[1, 0, 0] == pytest.approx(math.sqrt(101.0), rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# The sampler's kernels against general-purpose oracles
+# ---------------------------------------------------------------------------
+
+
+def _without_jacobian(model):
+    """The same model with a NaN Jacobian: every row takes the prior fallback."""
+    fwd, d = model.forward, model.prior.dim
+    nan_jac = ForwardMap(fn=fwd.fn, out_dim=fwd.out_dim, hess=fwd.hess,
+                         jac=lambda t: np.full(t.shape[:-1] + (fwd.out_dim, d), np.nan))
+    return BayesModel(model.prior, nan_jac, model.noise, model.replicates)
+
+
+_ORACLE_MODELS = {
+    "d1": lambda: make_linear_model(LinearGaussianSpec(A=[[1.0]], mu_theta=[0.0], Sigma_theta=[[1.0]],
+                                                       Sigma_eps=[[1.0]])),
+    "d2": lambda: make_linear_model(LinearGaussianSpec()),
+    "d3": lambda: make_pk_model(PkSpec()),
+    "fallback-pk": lambda: _without_jacobian(make_pk_model(PkSpec())),
+    "fallback-point-mass": lambda: _without_jacobian(point_mass_model()),
+}
+
+
+def _sampler_fits(name):
+    """Fits and inner normals of one sampler block of the named model."""
+    model = _ORACLE_MODELS[name]()
+    theta, _, y, z = _draw_outer(model, 64, 256, RandomStream(5).generator())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore" if name.startswith("fallback") else "error")
+        fits = fit_batch(model, theta, y)
+    if name.startswith("fallback"):
+        assert np.array_equal(fits.chol_prec, np.broadcast_to(np.linalg.cholesky(model.prior.precision),
+                                                              fits.chol_prec.shape))
+    return fits, z
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_MODELS))
+def test_draw_matches_a_general_solve(name):
+    # Back substitution against np.linalg.solve on the transposed factor, on
+    # fits centred at zero so that the draws are the solves themselves.  Over
+    # 20 blocks the largest gap, relative to the row's largest entry, was
+    # 5.6e-16 (d = 2).
+    fits, z = _sampler_fits(name)
+    x = LaplaceBatch(np.zeros_like(fits.theta_hat), fits.chol_prec).draw(z)
+    oracle = np.swapaxes(np.linalg.solve(np.swapaxes(fits.chol_prec, 1, 2), np.swapaxes(z, 1, 2)), 1, 2)
+    gap = np.max(np.abs(x - oracle), axis=(1, 2)) / np.max(np.abs(oracle), axis=(1, 2))
+    assert np.max(gap) <= 5e-15
+    assert np.array_equal(fits.draw(z), fits.theta_hat[:, None, :] + x)
+
+
+@pytest.mark.parametrize("name", ["d1", "d2", "d3", "fallback-pk"])
+def test_log_q_from_the_normals_matches_log_pdf(name):
+    # log q at a draw is log_norm - |z|^2 / 2, since L'(x - theta_hat) = z.
+    # Over 20 blocks the largest gap to log_pdf at the drawn points, relative
+    # to |log_norm| + |z|^2 / 2, was 3.5e-14 (d = 3).  The point-mass
+    # fallback is left out: there log_pdf itself loses digits forming
+    # x - theta_hat, a difference of order 1e-15 next to theta_hat.
+    fits, z = _sampler_fits(name)
+    half_sq = 0.5 * np.sum(z * z, axis=-1)
+    log_q = fits.log_norm[:, None] - half_sq
+    gap = np.abs(log_q - fits.log_pdf(fits.draw(z))) / (np.abs(fits.log_norm[:, None]) + half_sq)
+    assert np.max(gap) <= 5e-13
