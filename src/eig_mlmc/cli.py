@@ -73,9 +73,10 @@ def _finite(value) -> bool:
 
 
 def _integer(key: str, value, minimum: int) -> int:
-    """``value`` as an int when it is integral (2 or 2.0, not a bool) and >= minimum."""
-    if not (_is_number(value) and (isinstance(value, int) or value.is_integer()) and value >= minimum):
-        raise ConfigError(f"invalid value for {key!r}: must be an integer >= {minimum}")
+    """``value`` as an int when integral (2 or 2.0, not a bool), >= minimum and < 2**63 (seed: 2**64)."""
+    bits = 64 if key == "seed" else 63  # the range of RandomStream, else numpy's index range
+    if not (_is_number(value) and (isinstance(value, int) or value.is_integer()) and minimum <= value < 2 ** bits):
+        raise ConfigError(f"invalid value for {key!r}: must be an integer >= {minimum} and < 2**{bits}")
     return int(value)
 
 
@@ -168,8 +169,6 @@ class RunConfig:
             fail("eps", "must be a non-empty list of positive finite numbers")
         put("eps", tuple(sorted((float(e) for e in self.eps), reverse=True)))
         put("seed", _integer("seed", self.seed, 0))
-        if self.seed >= 2 ** 64:  # the range of RandomStream
-            fail("seed", "must be an integer < 2**64")
         put("_spec", _model_spec(self.model, self.model_params))
         if not (_is_number(self.omega) and 0.0 < self.omega < 1.0):
             fail("omega", "must be a number in (0, 1)")

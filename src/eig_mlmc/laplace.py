@@ -30,7 +30,8 @@ class LaplaceBatch:
     ``chol_prec[b]`` is the lower Cholesky factor L of the inverse
     covariance, so Sigma_hat is never formed: ``draw`` maps normals z to
     theta_hat + L'^-1 z by back substitution, and the log density there is
-    ``log_norm - |z|^2 / 2``, which the sampler reads from z itself.
+    ``log_norm - |z|^2 / 2``, which the sampler reads from z itself.  A row
+    that ``fit_batch`` could not fit holds theta* and the prior's factor.
     """
 
     def __init__(self, theta_hat: np.ndarray, chol_prec: np.ndarray):
@@ -42,16 +43,8 @@ class LaplaceBatch:
 
     def draw(self, z: np.ndarray) -> np.ndarray:
         """Map standard normals (B, M, d) to samples of the fitted Gaussians:
-        L' x = z solved by back substitution over d, each step vectorised
-        over the rows and inner samples."""
-        chol, d = self.chol_prec, z.shape[-1]
-        x = np.empty_like(z)
-        for i in reversed(range(d)):
-            acc = z[..., i]
-            for j in range(i + 1, d):
-                acc = acc - chol[:, j, i, None] * x[..., j]
-            x[..., i] = acc / chol[:, i, i, None]
-        return self.theta_hat[:, None, :] + x
+        L' x = z solved by back substitution."""
+        return self.theta_hat[:, None, :] + _substitute(self.chol_prec, z, upper=True)
 
     def log_pdf(self, thetas: np.ndarray) -> np.ndarray:
         """Log density of (B, M, d) points under the per-row fits.  The
@@ -62,25 +55,40 @@ class LaplaceBatch:
         return self.log_norm[:, None] - 0.5 * np.sum(u * u, axis=-1)
 
 
-def _chol_batch(mats: np.ndarray, fallback: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched Cholesky.  Matrices that are not positive definite are found by
-    bisecting the batch; each gets the fallback factor, with no retry.
-    Returns (chols, failed_mask)."""
-    out = np.empty_like(mats)
-    failed = np.zeros(mats.shape[0], dtype=bool)
-    spans = [(0, mats.shape[0])]
-    while spans:
-        lo, hi = spans.pop()
-        try:
-            out[lo:hi] = np.linalg.cholesky(mats[lo:hi])
-        except np.linalg.LinAlgError:
-            if hi - lo > 1:
-                mid = (lo + hi) // 2
-                spans += [(lo, mid), (mid, hi)]
-                continue
-            failed[lo] = True
-            out[lo] = fallback
-    return out, failed
+def _cholesky(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors of a (B, d, d) batch by columns over d, vectorised
+    over rows.  It never raises: a pivot that is not positive and finite makes
+    the row's factor nan from there on, down to the last pivot, which flags
+    the row in ``failed``."""
+    d = mats.shape[-1]
+    chol = np.zeros_like(mats)
+    with np.errstate(invalid="ignore"):  # inf - inf in a row with a non-finite entry
+        for j in range(d):
+            for i in range(j, d):
+                acc = mats[:, i, j]
+                for k in range(j):
+                    acc = acc - chol[:, i, k] * chol[:, j, k]
+                if i > j:
+                    chol[:, i, j] = acc / chol[:, j, j]
+                else:
+                    chol[:, j, j] = np.sqrt(np.where((acc > 0.0) & (acc < np.inf), acc, np.nan))
+    return chol, np.isnan(chol[:, -1, -1])
+
+
+def _substitute(chol: np.ndarray, z: np.ndarray, upper: bool) -> np.ndarray:
+    """Solve L x = z, or L' x = z when ``upper``, for L = chol (B, d, d) and
+    z (B, ..., d) by substitution over d, each step vectorised over the
+    leading axes."""
+    lower = chol.reshape(chol.shape[:1] + (1,) * (z.ndim - 2) + chol.shape[1:])
+    tri = np.swapaxes(lower, -1, -2) if upper else lower
+    d = z.shape[-1]
+    x = np.empty_like(z)
+    for i in reversed(range(d)) if upper else range(d):
+        acc = z[..., i]
+        for j in range(i + 1, d) if upper else range(i):
+            acc = acc - tri[..., i, j] * x[..., j]
+        x[..., i] = acc / tri[..., i, i]
+    return x
 
 
 def fit_batch(model: BayesModel, theta_star: np.ndarray, y: np.ndarray) -> LaplaceBatch:
@@ -88,16 +96,14 @@ def fit_batch(model: BayesModel, theta_star: np.ndarray, y: np.ndarray) -> Lapla
 
     theta_hat = theta* - (J'S J + H'S E + P)^-1 J'S E summed over replicate
     blocks (S the noise precision, P the prior precision, J, H the negated
-    model derivatives), then Sigma_hat^-1 = J(theta_hat)'S J(theta_hat) + P.
-    Every row that cannot be fitted gets the one fallback N(theta*,
-    Sigma_prior), a proposal whose importance weights still estimate p(Y)
-    without bias: a matrix that fails its Cholesky factorisation, a
-    non-finite theta_hat or J(theta_hat), and rows whose forward value or
-    derivatives at theta* are not finite, which reach it through zeroed
-    derivatives and are counted in a ``RuntimeWarning``.  The value and
-    derivatives at theta* come from one ``ForwardMap.value_and_derivatives``
-    call, so a model with fused ``terms`` evaluates its forward map there
-    once.
+    model derivatives), then Sigma_hat^-1 = J(theta_hat)'S J(theta_hat) + P;
+    ``_cholesky`` factors both matrices.  A row keeps the fallback N(theta*,
+    Sigma_prior), whose importance weights still estimate p(Y) without bias,
+    when g, J or H at theta* is not finite (counted in a ``RuntimeWarning``),
+    when a pivot of either factorisation is not positive and finite (as a
+    non-finite J(theta_hat) makes it), or when theta_hat is not finite.
+    g, J and H at theta* come from one ``ForwardMap.value_and_derivatives``
+    call, so a model with fused ``terms`` evaluates its forward map there once.
     """
     ne = model.replicates
     w = model.forward.out_dim
@@ -111,8 +117,8 @@ def fit_batch(model: BayesModel, theta_star: np.ndarray, y: np.ndarray) -> Lapla
     )
     if np.any(unfit):
         warnings.warn(
-            f"{int(np.sum(unfit))} outer samples had non-finite derivatives; "
-            "their proposal is the prior fallback N(theta*, Sigma_prior)",
+            f"{int(np.sum(unfit))} outer samples had non-finite derivatives or forward values "
+            "at theta*; their proposal is the prior fallback N(theta*, Sigma_prior)",
             RuntimeWarning,
         )
         # np.where keeps the operands' memory layout, so the other rows round as before
@@ -131,23 +137,17 @@ def fit_batch(model: BayesModel, theta_star: np.ndarray, y: np.ndarray) -> Lapla
     curv = ne * jtsj + term_h + model.prior.precision    # matrix of the Newton step
     rhs = -np.einsum("bwi,bw->bi", jg, s)                # J' S E with J = -grad g
 
-    prior_chol_prec = np.linalg.cholesky(model.prior.precision)
-    step_chol, failed = _chol_batch(curv, prior_chol_prec)
-    step_mat = np.matmul(step_chol, np.swapaxes(step_chol, 1, 2))
-    theta_hat = theta_star - np.linalg.solve(step_mat, rhs[..., None])[..., 0]
+    step_chol, failed = _cholesky(curv)
+    theta_hat = theta_star - _substitute(step_chol, _substitute(step_chol, rhs, upper=False), upper=True)
     failed |= unfit | ~np.all(np.isfinite(theta_hat), axis=1)
     theta_hat[failed] = theta_star[failed]
 
     j2 = model.forward.jacobian(theta_hat)
-    bad2 = ~np.all(np.isfinite(j2), axis=(1, 2))
-    if np.any(bad2):
-        # the Newton step wandered somewhere the derivatives break down
-        j2 = np.where(bad2[:, None, None], 0.0, j2)
-        failed |= bad2
-    m2 = ne * np.matmul(np.swapaxes(j2, 1, 2), np.matmul(prec, j2)) + model.prior.precision
-    chol_prec, failed2 = _chol_batch(m2, prior_chol_prec)
+    with np.errstate(invalid="ignore"):  # inf * 0 in a non-finite J(theta_hat), which a pivot flags
+        m2 = ne * np.matmul(np.swapaxes(j2, 1, 2), np.matmul(prec, j2)) + model.prior.precision
+    chol_prec, failed2 = _cholesky(m2)
     failed |= failed2
     if np.any(failed):
         theta_hat[failed] = theta_star[failed]
-        chol_prec[failed] = prior_chol_prec
+        chol_prec[failed] = np.linalg.cholesky(model.prior.precision)
     return LaplaceBatch(theta_hat, chol_prec)

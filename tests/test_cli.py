@@ -467,10 +467,17 @@ def test_main_malformed_number_exit_2(tmp_path, capsys, extra, argv):
     ("linear", {"model_params": {"A": [["BIG", 0.0], [0.0, 1.0], [1.0, 1.0]]}}),
     ("pk", {"model_params": {"dose": "BIG"}}),
     ("pk", {"model_params": {"noise_var": "BIG"}}),
-], ids=["eps", "A", "dose", "noise_var"])
+    ("linear", {"M0": "BIG"}),
+    ("linear", {"model_params": {"N_e": "BIG"}}),
+    ("pk", {"model_params": {"J": "BIG"}}),
+    ("linear", {"diagnostics_samples": "BIG"}),
+], ids=["eps", "A", "dose", "noise_var", "M0", "N_e", "J", "diagnostics_samples"])
 def test_main_integer_beyond_float_range_exit_2(tmp_path, capsys, model, extra):
     # JSON reads 1 followed by 400 zeros as a Python int that no float holds
-    key = "eps" if "eps" in extra else next(iter(extra["model_params"]))
+    # and no numpy index reaches
+    key = next(iter(extra))
+    if key == "model_params":
+        key = next(iter(extra[key]))
     text = minimal(**{"model": model, "eps": [0.05], "output_dir": str(tmp_path / "out"), **extra})
     cfgfile = write_cfg(tmp_path, text.replace('"BIG"', "1" + "0" * 400))
     assert main(["--config", cfgfile]) == 2

@@ -328,6 +328,7 @@ def test_non_finite_response_names_its_outer_sample(use_is, response):
     assert f"outer sample {first}" in str(err.value)
     assert first >= 10 and np.all(np.isfinite(head))
     assert all("had non-finite derivatives" in str(w.message) for w in caught)
+    assert all("or forward values at theta*" in str(w.message) for w in caught)
     assert bool(caught) == use_is
 
 
