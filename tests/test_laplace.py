@@ -151,10 +151,11 @@ def test_cholesky_flags_rows_without_a_positive_finite_pivot():
         np.diag([1.0, 0.0]),       # zero pivot
         np.diag([np.nan, 1.0]),    # nan pivot
         np.diag([1.0, np.inf]),    # inf pivot
+        np.array([[1.0, np.inf], [np.inf, np.inf]]),  # inf - inf at the second pivot
     ])
     with np.errstate(all="raise"):
         chols, failed = _cholesky(mats)
-    assert failed.tolist() == [False, True, False, True, True, True]
+    assert failed.tolist() == [False, True, False, True, True, True, True]
     assert np.allclose(chols[0], np.eye(2))
     rebuilt = chols[2] @ chols[2].T
     assert abs(rebuilt[0, 0] - 2.0) <= 1e-3
@@ -361,6 +362,24 @@ def test_fd_non_finite_row_falls_back_to_prior():
         assert fit.chol_prec[0, 0, 0] == 1.0
         assert fit.theta_hat[1, 0] == pytest.approx(0.5 - 10.0 / 101.0, rel=1e-8)
         assert fit.chol_prec[1, 0, 0] == pytest.approx(math.sqrt(101.0), rel=1e-8)
+
+
+def test_inf_jacobian_at_theta_hat_falls_back_to_prior():
+    # The 2-d identity map with a Jacobian that is inf from theta_1 = 3 on.
+    # The Newton step of the theta* = 2.9, y = 10 row lands there, so the
+    # fitted precision has a non-finite pivot and the row reverts to the
+    # prior, with no numpy warning on the way; the other row is fitted.
+    fwd = ForwardMap(fn=lambda t: t.copy(), out_dim=2,
+                     jac=lambda t: np.where(t[..., :1, None] < 3.0, np.eye(2), np.inf),
+                     hess=lambda t: np.zeros(t.shape[:-1] + (2, 2, 2)))
+    model = BayesModel(GaussianDensity(np.zeros(2), np.eye(2)), fwd, GaussianDensity(np.zeros(2), 0.01 * np.eye(2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fits = fit_batch(model, np.array([[2.9, 2.9], [0.5, 0.5]]), np.array([[10.0, 10.0], [0.4, 0.4]]))
+    assert np.array_equal(fits.theta_hat[0], [2.9, 2.9])
+    assert np.array_equal(fits.chol_prec[0], np.linalg.cholesky(model.prior.precision))
+    assert fits.theta_hat[1] == pytest.approx([0.5 - 10.0 / 101.0] * 2, rel=1e-12)
+    assert fits.chol_prec[1] == pytest.approx(np.sqrt(101.0) * np.eye(2), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
