@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .gaussian import GaussianDensity
 
@@ -95,10 +94,10 @@ class BayesModel:
 
 def replicate_summary(model: BayesModel, y: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """What the likelihood reads of data rows y (k, Ne*w): the replicate mean
-    (k, w) and the scatter sum_r |L^-1 (y_r - mean)|^2 (k,), L the noise
-    Cholesky factor.  At Ne = 1 the mean is y and the scatter is None (zero).
-    A row whose mean or deviations leave the float range has mean 0 and an
-    infinite scatter, so its likelihood is zero everywhere.
+    (k, w) and the scatter sum_r |L^-1 (y_r - mean)|^2 (k,), L^-1 the noise's
+    cached inverse factor.  At Ne = 1 the mean is y and the scatter is None
+    (zero).  A row whose mean or deviations leave the float range has mean 0
+    and an infinite scatter, so its likelihood is zero everywhere.
     """
     ne, w = model.replicates, model.forward.out_dim
     reps = y.reshape(-1, ne, w)
@@ -109,11 +108,9 @@ def replicate_summary(model: BayesModel, y: np.ndarray) -> tuple[np.ndarray, np.
         dev = reps - mean[:, None]
     out = ~np.all(np.isfinite(dev), axis=(1, 2))
     mean[out], dev[out] = 0.0, 0.0
-    # dev is a private temporary: solving in its buffer saves a (k, Ne, w) array
-    v = solve_triangular(model.noise.chol, dev.reshape(-1, w).T, lower=True, overwrite_b=True,
-                         check_finite=False)
-    with np.errstate(over="ignore"):  # an overflowing scatter means density zero
-        return mean, np.where(out, np.inf, np.sum(v * v, axis=0).reshape(-1, ne).sum(axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing scatter means density zero
+        v = dev.reshape(-1, w) @ model.noise.inv_chol.T
+        return mean, np.where(out, np.inf, np.einsum("ij,ij->i", v, v).reshape(-1, ne).sum(axis=1))
 
 
 def summary_log_likelihood(model: BayesModel, g: np.ndarray, summary) -> np.ndarray:
@@ -122,9 +119,10 @@ def summary_log_likelihood(model: BayesModel, g: np.ndarray, summary) -> np.ndar
     summary of a single data row (1, Ne*w) is shared by every row of g.
 
     The one Gaussian likelihood kernel, on the replicate mean ybar and
-    scatter S: sum_r |L^-1 (y_r - g)|^2 = Ne |L^-1 (ybar - g)|^2 + S.  The
-    grid term runs over (n, m, w), S over (n, Ne, w) once per data row, so
-    several calls on the same data reduce it once.
+    scatter S: sum_r |L^-1 (y_r - g)|^2 = Ne |L^-1 (ybar - g)|^2 + S, each
+    residual row whitened by the noise's cached inverse factor in one 2-D
+    product.  The grid term runs over (n, m, w), S over (n, Ne, w) once per
+    data row, so several calls on the same data reduce it once.
     """
     n, m, w = g.shape
     mean, scatter = summary
@@ -132,9 +130,8 @@ def summary_log_likelihood(model: BayesModel, g: np.ndarray, summary) -> np.ndar
     # a non-finite residual (an inf or nan response, or non-finite data) or an
     # overflowing quad form means density zero: its nan or inf quad is inf below
     with np.errstate(over="ignore", invalid="ignore"):
-        u = solve_triangular(model.noise.chol, (mean[:, None, :] - g).reshape(-1, w).T, lower=True,
-                             check_finite=False)
-        quad = np.sum(u * u, axis=0).reshape(n, m)
+        u = (mean[:, None, :] - g).reshape(-1, w) @ model.noise.inv_chol.T
+        quad = np.einsum("ij,ij->i", u, u).reshape(n, m)
         if scatter is not None:
             quad = ne * quad + scatter[:, None]
     np.copyto(quad, np.inf, where=np.isnan(quad))

@@ -1,13 +1,12 @@
 """Multivariate Gaussian density with cached Cholesky factor and its inverse.
 
-Used for priors, observation noise, and fitted importance distributions; the
-prior of a :class:`eig_mlmc.bayes.BayesModel` is a ``GaussianDensity``.
+The prior and the noise of a :class:`eig_mlmc.bayes.BayesModel` are each a
+``GaussianDensity``; both are whitened by their cached inverse factor.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 __all__ = ["GaussianDensity", "spd_cholesky"]
 
@@ -63,7 +62,9 @@ class GaussianDensity:
 def spd_cholesky(name: str, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lower Cholesky factor L, its inverse and the inverse of the square
     matrix ``cov``; a ValueError naming ``name`` unless it is symmetric (to
-    rtol 1e-10), positive definite and its inverse is finite."""
+    rtol 1e-10), positive definite and its inverse is finite.  L^-1 is
+    numpy's inverse of L, made exactly lower triangular again: the pivoting
+    of that inverse can leave round-off above the diagonal."""
     if not np.allclose(cov, cov.T, rtol=1e-10, atol=0.0):
         raise ValueError(f"{name} must be symmetric")
     try:
@@ -71,7 +72,7 @@ def spd_cholesky(name: str, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"{name} must be positive definite") from exc
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        inv_l = solve_triangular(chol, np.eye(cov.shape[0]), lower=True)
+        inv_l = np.tril(np.linalg.inv(chol))
         precision = inv_l.T @ inv_l
     if not np.all(np.isfinite(precision)):
         raise ValueError(f"{name} must have a finite inverse")

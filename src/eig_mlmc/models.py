@@ -8,8 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import betaincinv
 
 from .bayes import BayesModel, ForwardMap
 from .gaussian import GaussianDensity, spd_cholesky
@@ -80,7 +78,7 @@ def linear_gaussian_analytic_eig(spec: LinearGaussianSpec) -> float:
     n_e * L^-1 A Sigma_theta A^T L^-T + I (L the noise Cholesky factor) so the
     log determinant comes from a Cholesky factorisation of an SPD matrix.
     """
-    s = solve_triangular(np.linalg.cholesky(spec.Sigma_eps), spec.A, lower=True)
+    s = spd_cholesky("Sigma_eps", spec.Sigma_eps)[1] @ spec.A
     m = spec.n_e * s @ spec.Sigma_theta @ s.T + np.eye(spec.A.shape[0])
     m = 0.5 * (m + m.T)
     return float(np.sum(np.log(np.diag(np.linalg.cholesky(m)))))
@@ -134,6 +132,7 @@ def sampling_schedule(scheme: str, J: int = 15) -> np.ndarray:
     if scheme == "geometric":
         return 0.94 * 1.25 ** (j - 1.0)
     if scheme == "beta":
+        from scipy.special import betaincinv  # the package's only scipy call: load it here
         return SCHEDULE_HORIZON * betaincinv(*BETA_SHAPE, j / (J + 1.0))
     raise ValueError(f"unknown sampling scheme: {scheme!r}")
 

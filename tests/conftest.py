@@ -40,6 +40,13 @@ def oned_model(oned_spec):
     return make_linear_model(oned_spec)
 
 
+def ill_conditioned_covariance():
+    """A rotated 3x3 covariance with eigenvalues 1, 1e-5 and 1e-10."""
+    q, _ = np.linalg.qr(np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 4.0], [5.0, 6.0, 0.0]]))
+    cov = q @ np.diag([1.0, 1e-5, 1e-10]) @ q.T
+    return 0.5 * (cov + cov.T)
+
+
 def constant_model(value=(1.0, -2.0), noise_var=0.5, dim=2):
     """Model whose forward map ignores theta entirely."""
     w = len(value)
@@ -96,15 +103,22 @@ def log_likelihood(model, theta, y):
     return response_log_likelihood(model, g[None], np.asarray(y)[None])[0]
 
 
-def replicate_loop_log_likelihood(model, g, y):
+def replicate_loop_log_likelihood(model, g, y, by_inverse=False):
     """Oracle of ``response_log_likelihood``: the residual of every replicate
-    against every response, (n, m, Ne, w), summed over replicates."""
+    against every response, (n, m, Ne, w), summed over replicates.  It is
+    whitened by a LAPACK triangular solve on the noise Cholesky factor, or,
+    with ``by_inverse``, by the noise's cached inverse factor in the kernel's
+    own 2-D product and row-wise reduction."""
     n, m, w = g.shape
     ne = model.replicates
     resid = y.reshape(-1, 1, ne, w) - g[:, :, None, :]
-    u = solve_triangular(model.noise.chol, resid.reshape(-1, w).T, lower=True)
-    with np.errstate(over="ignore"):  # an overflowing quad form means density zero
-        quad = np.sum(u * u, axis=0).reshape(n, m, ne).sum(axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing quad form means density zero
+        if by_inverse:
+            u = resid.reshape(-1, w) @ model.noise.inv_chol.T
+            quad = np.einsum("ij,ij->i", u, u).reshape(n, m, ne).sum(axis=-1)
+        else:
+            u = solve_triangular(model.noise.chol, resid.reshape(-1, w).T, lower=True)
+            quad = np.sum(u * u, axis=0).reshape(n, m, ne).sum(axis=-1)
     return ne * model.noise.log_norm_const - 0.5 * quad
 
 

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import os
 import pkgutil
 import re
 import subprocess
@@ -48,9 +49,29 @@ def test_exported_names_have_a_caller():
     assert not unused
 
 
-def test_cli_import_leaves_scipy_optimize_out():
-    # The beta schedule is one inverse-CDF call: no root finder is loaded.
-    code = "import sys, eig_mlmc.cli; print('scipy.optimize' in sys.modules)"
+def _run_python(code, cwd):
     src = str(Path(eig_mlmc.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True)
-    assert out.stdout == "False\n"
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_scipy_loads_only_for_the_beta_schedule(tmp_path):
+    # Linear runs need no scipy at all: with scipy unimportable, a linear
+    # estimate and a linear rate study exit 0.
+    config = '{"model": "linear", "eps": [0.05], "seed": 0, "diagnostics_levels": 2, "diagnostics_samples": 200}'
+    (tmp_path / "linear.json").write_text(config)
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from eig_mlmc.cli import main\n"
+        "print(main(['--config', 'linear.json', '--output-dir', 'est']),"
+        " main(['--config', 'linear.json', '--mode', 'rate-study', '--output-dir', 'rates']))"
+    )
+    assert _run_python(code, tmp_path).endswith("0 0\n")
+    # The PK model's default beta schedule is one inverse-CDF call: it loads
+    # scipy.special, no root finder and no scipy.linalg.
+    code = (
+        "import sys; from eig_mlmc import make_pk_model; from eig_mlmc.models import PkSpec\n"
+        "make_pk_model(PkSpec())\n"
+        "print([m in sys.modules for m in ('scipy.special', 'scipy.linalg', 'scipy.optimize')])"
+    )
+    assert _run_python(code, tmp_path) == "[True, False, False]\n"

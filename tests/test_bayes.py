@@ -15,10 +15,17 @@ from eig_mlmc import (
     make_linear_model,
     make_pk_model,
 )
+from eig_mlmc.bayes import replicate_summary, summary_log_likelihood
 from eig_mlmc.estimators import _draw_outer
 from eig_mlmc.models import PkSpec
 
-from conftest import log_likelihood, replicate_loop_log_likelihood, response_log_likelihood, simulate_data
+from conftest import (
+    ill_conditioned_covariance,
+    log_likelihood,
+    replicate_loop_log_likelihood,
+    response_log_likelihood,
+    simulate_data,
+)
 
 
 def scalar_model(g_const=0.0):
@@ -166,15 +173,18 @@ def _kernel_block(model, n, m, seed):
     _wide_linear_model(15, 1),
 ], ids=["linear", "pk", "linear_w15"])
 def test_kernel_bit_identical_to_replicate_loop_at_one_replicate(model):
+    # The mean-and-scatter form adds no rounding at Ne = 1: the loop whitened
+    # the kernel's way gives the same bits.
     g, y = _kernel_block(model, 6, 5, seed=1)
-    assert np.array_equal(response_log_likelihood(model, g, y), replicate_loop_log_likelihood(model, g, y))
+    assert np.array_equal(response_log_likelihood(model, g, y),
+                          replicate_loop_log_likelihood(model, g, y, by_inverse=True))
     # one data row shared by every row of the grid
     shared = response_log_likelihood(model, g, y[:1])
     assert shared.shape == (6, 5)
-    assert np.array_equal(shared, replicate_loop_log_likelihood(model, g, y[:1]))
+    assert np.array_equal(shared, replicate_loop_log_likelihood(model, g, y[:1], by_inverse=True))
 
 
-@pytest.mark.parametrize("ne", [2, 10, 50])
+@pytest.mark.parametrize("ne", [1, 2, 10, 50])
 @pytest.mark.parametrize("w", [3, 15])
 def test_kernel_matches_replicate_loop(ne, w):
     model = make_linear_model(LinearGaussianSpec(n_e=ne)) if w == 3 else _wide_linear_model(w, ne)
@@ -200,6 +210,41 @@ def test_kernel_overflow_is_minus_inf_without_warning(ne):
             val = response_log_likelihood(model, g, y)
         assert np.all(val[0] == -np.inf)
         assert np.array_equal(val[1], replicate_loop_log_likelihood(model, g, y)[1])
+
+
+@pytest.mark.parametrize("ne, bound", [(1, 2e-14), (10, 5e-13)])
+def test_kernel_matches_lapack_on_ill_conditioned_noise(ne, bound):
+    # Noise of condition 1e10: whitening by the cached inverse factor against
+    # a LAPACK triangular solve.  Largest gaps over 20 blocks, relative to
+    # |Ne log_norm_const| + quad / 2: 2.2e-15 at Ne = 1 and 3.9e-14 at Ne = 10.
+    rng = np.random.default_rng(3)
+    model = make_linear_model(LinearGaussianSpec(
+        A=rng.standard_normal((3, 2)), mu_theta=np.zeros(2), Sigma_theta=np.eye(2),
+        Sigma_eps=ill_conditioned_covariance(), n_e=ne,
+    ))
+    gap = 0.0
+    for seed in range(20):
+        g, y = _kernel_block(model, 6, 5, seed=seed)
+        oracle = replicate_loop_log_likelihood(model, g, y)
+        half_quad = ne * model.noise.log_norm_const - oracle
+        scale = abs(ne * model.noise.log_norm_const) + half_quad
+        gap = max(gap, np.max(np.abs(response_log_likelihood(model, g, y) - oracle) / scale))
+    assert gap <= bound
+
+
+@pytest.mark.parametrize("model", [
+    make_linear_model(LinearGaussianSpec()),
+    make_linear_model(LinearGaussianSpec(n_e=10)),
+    make_pk_model(PkSpec()),
+], ids=["linear", "linear_ne10", "pk"])
+def test_kernel_row_does_not_depend_on_the_batch_shape(model):
+    # The outer term is an (n, 1, w) call and the inner grid an (n, m, w) one:
+    # a response gives the same bits in either.
+    g, y = _kernel_block(model, 6, 5, seed=2)
+    summary = replicate_summary(model, y)
+    grid = summary_log_likelihood(model, g, summary)
+    for j in range(g.shape[1]):
+        assert np.array_equal(summary_log_likelihood(model, g[:, j:j + 1], summary)[:, 0], grid[:, j])
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ from scipy.linalg import solve_triangular
 
 from eig_mlmc import GaussianDensity, LinearGaussianSpec, RandomStream
 
+from conftest import ill_conditioned_covariance
+
 
 def make_density(seed=0, dim=3):
     rng = np.random.default_rng(seed)
@@ -70,18 +72,10 @@ def test_invalid_inputs_rejected():
         g.log_pdf(np.zeros((1, 3)))
 
 
-
-def _ill_conditioned_covariance():
-    """A rotated 3x3 covariance with eigenvalues 1, 1e-5 and 1e-10."""
-    q, _ = np.linalg.qr(np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 4.0], [5.0, 6.0, 0.0]]))
-    cov = q @ np.diag([1.0, 1e-5, 1e-10]) @ q.T
-    return 0.5 * (cov + cov.T)
-
-
 @pytest.mark.parametrize("mean, cov, bound", [
     (LinearGaussianSpec().mu_theta, LinearGaussianSpec().Sigma_theta, 1e-14),
     (np.array([0.5, -0.25]), 1e-30 * np.eye(2), 1e-15),
-    (np.array([0.1, 0.2, 0.3]), _ill_conditioned_covariance(), 5e-11),
+    (np.array([0.1, 0.2, 0.3]), ill_conditioned_covariance(), 5e-11),
 ], ids=["reference-prior", "point-mass-prior", "condition-1e10"])
 def test_log_pdf_matches_triangular_solve_oracle(mean, cov, bound):
     # Whitening by the cached inverse factor against a triangular solve, at
