@@ -174,8 +174,12 @@ class PkSpec:
         spd_cholesky("noise_var", self.noise_var * np.eye(self.schedule.size))
 
 
-# Rows per _pk_terms pass: the ~60 temporaries of shape (rows, J) then stay in cache.
+# Rows per _pk_chunk pass, which makes about 25 temporaries of shape (rows, J).
 _PK_CHUNK = 2048
+
+
+def _pk_outputs(rows: int, J: int, order: int) -> list:
+    return [np.empty((rows, J) + (3,) * k) if k <= order else None for k in range(3)]
 
 
 def _pk_terms(spec: PkSpec, theta: np.ndarray, order: int):
@@ -186,72 +190,75 @@ def _pk_terms(spec: PkSpec, theta: np.ndarray, order: int):
     the confluent limit (D/V) * k_a * t * exp(-k_a t) where k_a and k_e
     coincide to within 1e-8 relative.
 
-    Returns (g, jac, hess) where jac is (..., J, 3) and hess (..., J, 3, 3);
-    entries beyond ``order`` are None.  The k_a = k_e seam uses series limits
-    of the same expressions.  Every entry is computed row by row, so the
-    result is the same bit for bit whatever ``order`` is asked for and
-    however the rows are split: batches run in chunks of ``_PK_CHUNK`` rows.
+    Returns C-contiguous (g, jac, hess), jac (..., J, 3) and hess
+    (..., J, 3, 3); entries beyond ``order`` are None.  :func:`_pk_chunk`
+    writes each chunk of ``_PK_CHUNK`` rows into the outputs, row by row, so
+    the result is the same bit for bit whatever ``order`` is asked for and
+    however the rows are split.
     """
-    starts = range(0, max(len(theta), 1), _PK_CHUNK)  # an empty batch is one empty chunk
-    parts = [_pk_chunk(spec, theta[lo:lo + _PK_CHUNK], order) for lo in starts]
-    return tuple(None if p[0] is None else np.concatenate(p) for p in zip(*parts))
+    x = theta.reshape(-1, theta.shape[-1])  # a single point (d,) is a batch of one
+    out = _pk_outputs(len(x), spec.schedule.size, order)
+    for lo in range(0, len(x), _PK_CHUNK):
+        _pk_chunk(spec, x[lo:lo + _PK_CHUNK], order, [a if a is None else a[lo:lo + _PK_CHUNK] for a in out])
+    return tuple(a if a is None else a.reshape(theta.shape[:-1] + a.shape[1:]) for a in out)
 
 
-def _pk_chunk(spec: PkSpec, theta: np.ndarray, order: int):
-    """:func:`_pk_terms` on one chunk of rows."""
+def _pk_chunk(spec: PkSpec, theta: np.ndarray, order: int, out: list | None = None):
+    """:func:`_pk_terms` on rows (n, 3), written into ``out`` (new arrays if None).
+
+    D_a = k_a d/dk_a and D_e = k_e d/dk_e act on the curve's own terms: with
+    r = k_a/(k_a - k_e), s = r - 1, P = (D/V) r e^(-k_a t), Q = (D/V) r e^(-k_e t)
+    and g = Q - P, j1 = k_a t P - s g and j2 = s g - k_e t Q; with G = s r g,
+    h11 = G - s j1 + k_a t P (1 - s - k_a t), h12 = s k_a t P - G - s j2 and
+    h22 = G + s j2 - k_e t Q (1 + s - k_e t).  V scales g by 1/V, so J's
+    third column is -g and H's x3 row is (-j1, -j2, g).  Seam rows take the
+    confluent limits of g and its plain derivatives, chained into j and h.
+    """
     t = spec.schedule
-    ka = theta[..., 0:1]
-    ke = theta[..., 1:2]
-    v = theta[..., 2:3]
+    g, jac, hess = out or _pk_outputs(len(theta), t.size, order)
+    ka, ke, v = theta[:, 0:1], theta[:, 1:2], theta[:, 2:3]
     c = spec.dose / v
-    ua = np.exp(-ka * t)
-    ue = np.exp(-ke * t)
-
+    ua, ue = np.exp(-ka * t), np.exp(-ke * t)
     delta = ka - ke
     seam = np.abs(delta) < _SEAM_TOL * ka
+    on_seam = np.any(seam)
     dsafe = np.where(seam, 1.0, delta)
     r = ka / dsafe
-    diff = ue - ua
+    cr = c * r
 
-    def pick(on, off):
+    def pick(dst, on):
         # the confluent limit ``on()`` is computed only for a chunk that meets
-        # the seam; elsewhere np.where(seam, ., off) would return off bit for bit
-        return np.where(seam, on(), off) if np.any(seam) else off
+        # the seam; elsewhere copying it where ``seam`` would leave dst bit for bit
+        if on_seam:
+            np.copyto(dst, on(), where=seam)
 
-    g = pick(lambda: c * ka * t * ua, c * r * diff)
+    np.multiply(cr, ue - ua, out=g)
+    pick(g, lambda: c * ka * t * ua)
     if order == 0:
         return g, None, None
 
-    inv2 = dsafe ** -2
-    ga = pick(lambda: c * ua * (t - ka * t * t / 2.0), c * (-(ke * inv2) * diff + r * t * ua))
-    ge = pick(lambda: -c * ua * ka * t * t / 2.0, c * ((ka * inv2) * diff - r * t * ue))
-    j1 = ka * ga
-    j2 = ke * ge
-    jac = np.stack([j1, j2, -g], axis=-1)
+    s = ke / dsafe
+    kat, ket = ka * t, ke * t
+    kap, keq = kat * (cr * ua), ket * (cr * ue)
+    sg = s * g
+    j1, j2 = kap - sg, sg - keq
+    pick(j1, lambda: ka * (c * ua * (t - ka * t * t / 2.0)))
+    pick(j2, lambda: ke * (-c * ua * ka * t * t / 2.0))
+    jac[..., 0], jac[..., 1] = j1, j2
+    np.negative(g, out=jac[..., 2])
     if order == 1:
         return g, jac, None
 
-    inv3 = inv2 / dsafe
-    t2 = t * t
-    t3 = t2 * t
-    gaa = pick(lambda: c * ua * (-t2 + ka * t3 / 3.0),
-               c * (2.0 * ke * inv3 * diff - 2.0 * ke * inv2 * t * ua - r * t2 * ua))
-    gae = pick(lambda: c * ua * (-t2 / 2.0 + ka * t3 / 6.0),
-               c * (-(inv2 + 2.0 * ke * inv3) * diff + (ke * t * ue + ka * t * ua) * inv2))
-    gee = pick(lambda: c * ua * ka * t3 / 3.0,
-               c * (2.0 * ka * inv3 * diff - 2.0 * ka * inv2 * t * ue + r * t2 * ue))
-    # Chain rule into log-parameter space x = log(theta):
-    # d2g/dx1^2 = k_a*ga + k_a^2*gaa, cross terms with x3 reduce to -dg/dx_i.
-    h11 = j1 + ka * ka * gaa
-    h12 = ka * ke * gae
-    h22 = j2 + ke * ke * gee
-    hess = np.empty(g.shape + (3, 3))
-    hess[..., 0, 0] = h11
-    hess[..., 0, 1] = hess[..., 1, 0] = h12
-    hess[..., 0, 2] = hess[..., 2, 0] = -j1
-    hess[..., 1, 1] = h22
-    hess[..., 1, 2] = hess[..., 2, 1] = -j2
-    hess[..., 2, 2] = g
+    big_g = (s * r) * g
+    h11 = (big_g - s * j1) + kap * ((1.0 - s) - kat)
+    h12 = (s * kap - big_g) - s * j2
+    h22 = (big_g + s * j2) - keq * ((1.0 + s) - ket)
+    t2, t3 = t * t, t * t * t
+    pick(h11, lambda: j1 + ka * ka * (c * ua * (-t2 + ka * t3 / 3.0)))
+    pick(h12, lambda: ka * ke * (c * ua * (-t2 / 2.0 + ka * t3 / 6.0)))
+    pick(h22, lambda: j2 + ke * ke * (c * ua * ka * t3 / 3.0))
+    hess[..., 0, 0], hess[..., 0, 1], hess[..., 1, 0], hess[..., 1, 1] = h11, h12, h12, h22
+    hess[..., 2, :] = hess[..., :, 2] = -jac  # (-j1, -j2, g)
     return g, jac, hess
 
 
@@ -264,21 +271,13 @@ def make_pk_model(spec: PkSpec) -> BayesModel:
     """
     J = spec.schedule.size
 
-    def fwd(x: np.ndarray) -> np.ndarray:
-        return _pk_terms(spec, np.exp(x), order=0)[0]
-
-    def jac(x: np.ndarray) -> np.ndarray:
-        return _pk_terms(spec, np.exp(x), order=1)[1]
-
-    def hess(x: np.ndarray) -> np.ndarray:
-        return _pk_terms(spec, np.exp(x), order=2)[2]
-
-    def terms(x: np.ndarray):
-        return _pk_terms(spec, np.exp(x), order=2)
+    def terms(x: np.ndarray, order: int = 2):
+        return _pk_terms(spec, np.exp(x), order)
 
     return BayesModel(
         prior=GaussianDensity(np.array(spec.log_means), np.diag(spec.log_vars)),
-        forward=ForwardMap(fn=fwd, out_dim=J, jac=jac, hess=hess, terms=terms),
+        forward=ForwardMap(fn=lambda x: terms(x, 0)[0], out_dim=J, jac=lambda x: terms(x, 1)[1],
+                           hess=lambda x: terms(x, 2)[2], terms=terms),
         noise=GaussianDensity(np.zeros(J), spec.noise_var * np.eye(J)),
         replicates=1,
     )

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -244,6 +245,101 @@ def test_pk_off_seam_rows_do_not_depend_on_the_seam_branch():
     off = np.delete(theta, [0, 18], axis=0)
     for a, b in zip(_pk_terms(spec, off, 2), _pk_terms(spec, theta, 2)):
         assert np.array_equal(a, np.delete(b, [0, 18], axis=0))
+
+
+def _decimal_g(spec, x):
+    """g at log parameters x (Decimals) in the current decimal context."""
+    ka, ke, v = (xi.exp() for xi in x)
+    c = decimal.Decimal(spec.dose) / v * ka / (ka - ke)
+    return [c * ((-ke * decimal.Decimal(t)).exp() - (-ka * decimal.Decimal(t)).exp()) for t in spec.schedule.tolist()]
+
+
+def _decimal_derivatives(spec, x, h=decimal.Decimal("1e-12")):
+    """g, J and H of the PK map at log parameters x by central differences
+    of a 50-digit evaluation: truncation about h^2 = 1e-24 and round-off
+    about 1e-50 / h^2 = 1e-26, both far below float64 rounding."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        x0 = [decimal.Decimal(float(v)) for v in x]
+
+        def f(*steps):
+            y = list(x0)
+            for i, sign in steps:
+                y[i] += sign * h
+            return np.array(_decimal_g(spec, y), dtype=object)
+
+        f0 = f()
+        jac = np.empty((len(f0), 3), dtype=object)
+        hess = np.empty((len(f0), 3, 3), dtype=object)
+        for i in range(3):
+            fp, fm = f((i, 1)), f((i, -1))
+            jac[:, i] = (fp - fm) / (2 * h)
+            hess[:, i, i] = (fp - 2 * f0 + fm) / (h * h)
+            for j in range(i):
+                corners = f((i, 1), (j, 1)) - f((i, 1), (j, -1)) - f((i, -1), (j, 1)) + f((i, -1), (j, -1))
+                hess[:, i, j] = hess[:, j, i] = corners / (4 * h * h)
+    return f0.astype(float), jac.astype(float), hess.astype(float)
+
+
+def _oracle_points():
+    spec = PkSpec()
+    rng = np.random.default_rng(11)
+    draws = np.array(spec.log_means) + np.sqrt(spec.log_vars) * rng.standard_normal((6, 3))
+    points = [pytest.param(x, id=f"prior{i}") for i, x in enumerate(draws)]
+    for e in (1e-3, 1e-2, 0.1, 1.0):
+        for sign in (1.0, -1.0):  # log k_a - log k_e = sign * e
+            points.append(pytest.param(np.array([0.0, -sign * e, math.log(20.0)]), id=f"seam{sign * e:+g}"))
+    return points
+
+
+@pytest.mark.parametrize("x", _oracle_points())
+def test_pk_derivatives_match_a_decimal_oracle(x):
+    # Each slot of g, J and H, relative to its largest entry over the schedule,
+    # is within 32 eps of the oracle, times (1/e)^(k+1) for the k-th
+    # derivative at e = |log k_a - log k_e| < 1: the closed form cancels by
+    # about 1/e per order near the seam.  The largest measured gap was
+    # 9.6 eps (H, 0.1 off the seam), with the same gaps before the
+    # log-derivative form; a wrong Hessian term misses by orders of magnitude.
+    spec = PkSpec()
+    oracle = _decimal_derivatives(spec, x)
+    scale = max(1.0, 1.0 / abs(x[0] - x[1]))
+    for k, (got, want) in enumerate(zip(make_pk_model(spec).forward.value_and_derivatives(x), oracle)):
+        gap = np.max(np.abs(got - want) / np.max(np.abs(want), axis=0))
+        assert gap <= 32 * np.finfo(float).eps * scale ** (k + 1), (k, gap)
+
+
+def test_pk_non_finite_rows_on_an_extreme_grid():
+    # The rows whose g, J or H is not finite, i.e. the rows fit_batch sends to
+    # the prior fallback, on the grid {-800, -60, 0, 60, 710, 800}^3 of log
+    # parameters: a rate that overflows to inf (log 710 and 800), V = 0
+    # (log V = -800), or k_a = k_e = 0.  Pinned from the closed form of
+    # ga/ge/gaa/gae/gee that the log-derivative form replaced.
+    vals = [-800.0, -60.0, 0.0, 60.0, 710.0, 800.0]
+    x = np.array(np.meshgrid(vals, vals, vals, indexing="ij")).reshape(3, -1).T
+    with np.errstate(all="ignore"):
+        g, jac, hess = _pk_terms(PkSpec(), np.exp(x), 2)
+    bad = ~(np.all(np.isfinite(g), axis=1) & np.all(np.isfinite(jac), axis=(1, 2))
+            & np.all(np.isfinite(hess), axis=(1, 2, 3)))
+    rates = x[:, :2]
+    expected = np.any(rates > 60.0, axis=1) | np.all(rates == -800.0, axis=1) | (x[:, 2] == -800.0)
+    assert np.array_equal(bad, expected)
+    assert np.sum(bad) == 141
+
+
+def test_pk_terms_shapes():
+    # An empty batch and a single point keep their shapes at every order, and
+    # every output is C-contiguous (fit_batch's np.where keeps that layout).
+    spec = PkSpec()
+    J = spec.schedule.size
+    for theta, lead in ((np.empty((0, 3)), (0,)), (np.array([1.0, 0.1, 20.0]), ())):
+        for order in range(3):
+            out = _pk_terms(spec, theta, order)
+            assert [a is None for a in out] == [order < k for k in range(3)]
+            for k, a in enumerate(out[:order + 1]):
+                assert a.shape == lead + (J,) + (3,) * k
+                assert a.flags.c_contiguous
+    for a in _pk_terms(spec, np.exp(pk_block(2049)), 2):
+        assert a.flags.c_contiguous
 
 
 def test_pk_spec_validation():
