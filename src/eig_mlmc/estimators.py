@@ -2,12 +2,10 @@
 
 One outer sample draws (theta, Y) from the joint model; M inner samples give
 a log-mean of importance weights estimating log p(Y).  The level-l inner
-count is M_l = M0 * 2**l.  The antithetic correction at level l >= 1 is
-
-    0.5 * (log-mean of first half + log-mean of second half) - log-mean of all,
-
-with the halves taken in stream order, so it is non-positive up to round-off
-by concavity of the logarithm.
+count is M_l = M0 * 2**l.  With a and b the log-means of the first and second
+half of the inner samples, in stream order, the antithetic correction at
+level l >= 1 is 0.5 * (a + b) - (logaddexp(a, b) - log 2) = -log cosh((a - b) / 2),
+computed from a and b alone so that it is <= 0 exactly and does not cancel.
 
 Sampling is organised in fixed-size blocks of outer indices.  Block b of a
 given sampler draws from the sub-stream (purpose, level-or-M, b), so the
@@ -161,12 +159,12 @@ def _block_rows(m: int) -> int:
 
 
 def _logmeanexp(logw: np.ndarray) -> np.ndarray:
-    """Row-wise log of the mean of exp, safe against -inf rows."""
-    top = np.max(logw, axis=1)
+    """Log of the mean of exp over the last axis, safe against -inf rows."""
+    top = np.max(logw, axis=-1)
     finite = np.isfinite(top)
     shift = np.where(finite, top, 0.0)
     with np.errstate(divide="ignore"):  # all-(-inf) rows legitimately hit log(0)
-        out = shift + np.log(np.mean(np.exp(logw - shift[:, None]), axis=1))
+        out = shift + np.log(np.mean(np.exp(logw - shift[..., None]), axis=-1))
     return np.where(finite, out, -np.inf)
 
 
@@ -236,7 +234,9 @@ def _block_values(
     one generator.  P = log p(Y | theta) - log-mean of all m inner weights;
     Z is the antithetic correction, or P itself (the same array) when not
     ``antithetic``.  The inner grid and the outer term share one replicate
-    summary of the data.
+    summary of the data.  A correction reads both from the half log-means a
+    and b: Z = -log cosh(h) at h = |a - b| / 2, as -log1p(2 sinh(h / 2)**2)
+    for h < 1 and as log 2 - h - log1p(exp(-2h)) above, where cosh overflows.
 
     A row without a finite value is nan when the model response at its
     theta is not finite, and +inf otherwise (all its inner log-weights are
@@ -244,12 +244,14 @@ def _block_values(
     theta, g, y, z_inner = _draw_outer(model, m, n, rng)
     summary = replicate_summary(model, y)
     logw = _inner_logweights(model, theta, y, z_inner, use_is, summary)
-    log_full = _logmeanexp(logw)
+    halves = _logmeanexp(logw.reshape(n, 2, m // 2)) if antithetic else None
+    log_full = np.logaddexp(*halves.T) - math.log(2.0) if antithetic else _logmeanexp(logw)
     with np.errstate(invalid="ignore"):  # -inf - -inf in a row without a finite value
         z = p = summary_log_likelihood(model, g[:, None], summary)[:, 0] - log_full
         if antithetic:
-            half = m // 2
-            z = 0.5 * (_logmeanexp(logw[:, :half]) + _logmeanexp(logw[:, half:])) - log_full
+            h = 0.5 * np.abs(halves[:, 0] - halves[:, 1])  # np.where takes both forms: sinh sees h <= 1
+            z = np.where(h < 1.0, -np.log1p(2.0 * np.sinh(0.5 * np.minimum(h, 1.0)) ** 2),
+                         (math.log(2.0) - h) - np.log1p(np.exp(-2.0 * h)))
     bad_response = ~np.all(np.isfinite(g), axis=1)
     for v in (z, p):  # one array twice when not antithetic: marking it again changes nothing
         v[np.isnan(v)] = np.inf

@@ -203,8 +203,8 @@ def _pk_terms(spec: PkSpec, theta: np.ndarray, order: int):
     return tuple(a if a is None else a.reshape(theta.shape[:-1] + a.shape[1:]) for a in out)
 
 
-def _pk_chunk(spec: PkSpec, theta: np.ndarray, order: int, out: list | None = None):
-    """:func:`_pk_terms` on rows (n, 3), written into ``out`` (new arrays if None).
+def _pk_chunk(spec: PkSpec, theta: np.ndarray, order: int, out: list):
+    """:func:`_pk_terms` on rows (n, 3), written into ``out`` from :func:`_pk_outputs`.
 
     D_a = k_a d/dk_a and D_e = k_e d/dk_e act on the curve's own terms: with
     r = k_a/(k_a - k_e), s = r - 1, P = (D/V) r e^(-k_a t), Q = (D/V) r e^(-k_e t)
@@ -215,7 +215,7 @@ def _pk_chunk(spec: PkSpec, theta: np.ndarray, order: int, out: list | None = No
     confluent limits of g and its plain derivatives, chained into j and h.
     """
     t = spec.schedule
-    g, jac, hess = out or _pk_outputs(len(theta), t.size, order)
+    g, jac, hess = out
     ka, ke, v = theta[:, 0:1], theta[:, 1:2], theta[:, 2:3]
     c = spec.dose / v
     ua, ue = np.exp(-ka * t), np.exp(-ke * t)

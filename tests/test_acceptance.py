@@ -222,8 +222,8 @@ def test_criterion_6b_corrections_non_positive():
                 total += v.size
     report(
         "6b (non-positivity)",
-        worst <= 1e-12,
-        f"max correction value {worst:.3e} <= 1e-12 over {total} realisations",
+        worst <= 0.0,
+        f"max correction value {worst:.3e} <= 0 over {total} realisations",
     )
 
 

@@ -1,3 +1,4 @@
+import decimal
 import math
 import warnings
 
@@ -34,6 +35,7 @@ from eig_mlmc.estimators import (
     per_sample_cost,
     stats_from_values,
 )
+from eig_mlmc.models import PkSpec, make_pk_model
 
 from conftest import log_likelihood, one_value, plain_difference, point_mass_model, response_log_likelihood
 
@@ -108,7 +110,7 @@ def test_level_zero_replay_oracle(linear_spec, linear_model):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 10_000), level=st.integers(1, 5), use_is=st.booleans())
 def test_corrections_non_positive(linear_model, seed, level, use_is):
-    assert one_value(linear_model, 2 ** level, RandomStream(seed), use_is, antithetic=True) <= 1e-12
+    assert one_value(linear_model, 2 ** level, RandomStream(seed), use_is, antithetic=True) <= 0.0
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
@@ -155,7 +157,8 @@ def test_block_summarises_replicates_once(monkeypatch, use_is):
 def test_level_pair_takes_p_from_the_correction_block(use_is):
     # Z of the pair is the level variable bit for bit, and P is the outer
     # log-likelihood minus the log-mean of all M_l inner weights, rebuilt
-    # from the block generator the correction draws from.
+    # from the block generator the correction draws from; at a correction
+    # level that log-mean is logaddexp(a, b) - log 2 of the half log-means.
     model = make_linear_model(LinearGaussianSpec(n_e=10))
     config = EstimatorConfig(m0=1, use_is=use_is)
     stream = RandomStream(9)
@@ -166,10 +169,99 @@ def test_level_pair_takes_p_from_the_correction_block(use_is):
         rng = stream.child(estimators._PURPOSE_CORRECTION, level, 0).generator()
         theta, g, y, z_inner = _draw_outer(model, m, _block_rows(m), rng)
         logw = _inner_logweights(model, theta, y, z_inner, use_is, replicate_summary(model, y))
-        expected = response_log_likelihood(model, g[:, None], y)[:, 0] - _logmeanexp(logw)
+        log_full = _logmeanexp(logw)
+        if level > 0:
+            halves = np.logaddexp(_logmeanexp(logw[:, : m // 2]), _logmeanexp(logw[:, m // 2:])) - math.log(2.0)
+            # the full-grid log-mean it stands for agrees to a few ulp
+            assert np.all(np.abs(halves - log_full)[:50] <= 4 * np.spacing(np.abs(log_full[:50])))
+            log_full = halves
+        expected = response_log_likelihood(model, g[:, None], y)[:, 0] - log_full
         assert np.array_equal(p, expected[:50])
         if level == 0:
             assert np.array_equal(p, z)
+
+
+def _decimal_correction(row):
+    """0.5 * (a + b) - log-mean of all, the antithetic correction by its
+    definition, on one row of float log-weights in 50 digits."""
+    with decimal.localcontext(decimal.Context(prec=50)):
+        top = decimal.Decimal(float(np.max(row)))
+        e = [(decimal.Decimal(float(v)) - top).exp() for v in row]
+
+        def log_mean(part):
+            return top + (sum(part) / len(part)).ln()
+
+        return (log_mean(e[: len(e) // 2]) + log_mean(e[len(e) // 2:])) / 2 - log_mean(e)
+
+
+@pytest.mark.parametrize("level, use_is", [(2, True), (5, True), (8, True), (1, False)])
+@pytest.mark.parametrize("name", ["linear", "pk"])
+def test_correction_matches_a_decimal_oracle(name, level, use_is):
+    # 32 rows of a block against the definition evaluated in 50 digits on the
+    # same float log-weights.  Over seeds 0-5, 48 rows each, the half
+    # log-means gave at most 2.4e-11 relative; subtracting a full-grid
+    # log-mean from their mean cancels, and gave 8.6e-11 to 3.8e-6 per case.
+    # Without importance sampling many level-1 rows (most on PK) have
+    # |a - b| / 2 > 710, where cosh overflows.
+    model = make_linear_model(LinearGaussianSpec()) if name == "linear" else make_pk_model(PkSpec())
+    m, n = 2 ** level, 32
+    z, _ = _block_values(model, m, n, RandomStream(0).generator(), use_is, antithetic=True)
+    theta, _, y, z_inner = _draw_outer(model, m, n, RandomStream(0).generator())
+    logw = _inner_logweights(model, theta, y, z_inner, use_is, replicate_summary(model, y))
+    exact = [_decimal_correction(row) for row in logw]
+    assert max(abs(decimal.Decimal(float(v)) - e) / -e for v, e in zip(z, exact)) <= 1e-10
+    assert np.all(z <= 0.0)
+    if not use_is:
+        assert np.sum(z < math.log(2.0) - 710.0) >= n // 4
+
+
+def test_correction_edge_rows(monkeypatch):
+    # Crafted inner log-weights in a level-3 block: equal halves give Z = 0
+    # exactly (a full-grid log-mean gives -1.1e-16 on this row); one half all
+    # -inf gives Z = -inf and a finite P; no finite weight gives Z = P = +inf;
+    # a non-finite response gives nan.  The finite check names the first row
+    # without a finite Z.
+    model = make_linear_model(LinearGaussianSpec())
+    inf = np.inf
+    rows = np.array([
+        [-0.7, -1.3, -0.6, 0.0, -0.7, -1.3, -0.6, 0.0],
+        [-inf, -inf, -inf, -inf, 0.3, -2.0, 0.5, 1.0],
+        [-inf] * 8,
+        [0.4, 1.5, -0.2, 0.9, -1.0, 0.2, 0.7, -0.3],
+        [0.4, 1.5, -0.2, 0.9, -1.0, 0.2, 0.7, -0.3],
+    ])
+    draw = estimators._draw_outer
+
+    def bad_last_response(*args):
+        theta, g, y, z_inner = draw(*args)
+        g[4] = np.nan
+        return theta, g, y, z_inner
+
+    monkeypatch.setattr(estimators, "_draw_outer", bad_last_response)
+    monkeypatch.setattr(estimators, "_inner_logweights", lambda *a: np.resize(rows, (a[3].shape[0], 8)))
+    z, p = _block_values(model, 8, 5, RandomStream(0).generator(), False, antithetic=True)
+    assert z[0] == 0.0 and np.isfinite(p[0])
+    assert z[1] == -inf and np.isfinite(p[1])
+    assert z[2] == inf and p[2] == inf
+    assert z[3] < 0.0 and np.isfinite(p[3])
+    assert np.isnan(z[4]) and np.isnan(p[4])
+    with pytest.raises(InnerUnderflowError, match="all inner log-weights are -inf") as err:
+        sample_level_pair(model, NO_IS, 3, 0, 5, RandomStream(0))
+    assert err.value.outer_index == 1
+
+
+def test_no_correction_block_reduces_its_full_grid(monkeypatch):
+    # Counted log-mean-exps: a correction block reduces its (n, 2, M_l / 2)
+    # halves once, and level 0 its (n, 1) grid.
+    shapes = []
+    logmeanexp = estimators._logmeanexp
+    monkeypatch.setattr(estimators, "_logmeanexp", lambda logw: shapes.append(logw.shape) or logmeanexp(logw))
+    model = make_linear_model(LinearGaussianSpec())
+    for level in range(4):
+        shapes.clear()
+        sample_level_pair(model, WITH_IS, level, 0, 10, RandomStream(1))
+        m = WITH_IS.inner_count(level)
+        assert shapes == ([(_block_rows(m), 2, m // 2)] if level else [(_block_rows(m), 1)])
 
 
 def test_finite_check_names_first_bad_index_of_either_array():
@@ -231,7 +323,6 @@ def test_pk_fd_levels_match_analytic():
     # The Laplace fit through finite differences gives the analytic model's
     # level values to 1e-8.
     from eig_mlmc.bayes import BayesModel, ForwardMap
-    from eig_mlmc.models import PkSpec, make_pk_model
 
     analytic = make_pk_model(PkSpec())
     fwd = analytic.forward

@@ -15,7 +15,7 @@ from eig_mlmc import (
     make_pk_model,
     sampling_schedule,
 )
-from eig_mlmc.models import PkSpec, _pk_chunk, _pk_terms
+from eig_mlmc.models import PkSpec, _pk_chunk, _pk_outputs, _pk_terms
 
 from conftest import U_LINEAR_NE1, U_LINEAR_NE10
 
@@ -227,7 +227,7 @@ def test_pk_chunked_and_fused_terms_are_bit_identical(n):
     x = pk_block(n)
     for order in range(3):
         chunked = _pk_terms(spec, np.exp(x), order)
-        whole = _pk_chunk(spec, np.exp(x), order)
+        whole = _pk_chunk(spec, np.exp(x), order, _pk_outputs(n, spec.schedule.size, order))
         assert [a is None for a in chunked] == [order < k for k in range(3)]
         assert all(a is b is None or np.array_equal(a, b) for a, b in zip(chunked, whole))
     fwd = make_pk_model(spec).forward
