@@ -271,11 +271,11 @@ def _span_values(
     antithetic: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Z and P for outer indices [start, start + count) under the block
-    layout; one array when not ``antithetic``.
+    layout; one array when not ``antithetic``.  Both are checked by
+    :func:`_check_finite` before they are returned.
 
     ``tag`` is the level for correction sampling and the inner count for
     plain sampling; together with ``purpose`` it pins the stream path.
-    Nothing is checked here: see :func:`_check_finite`.
     """
     if count <= 0:
         return np.empty(0), np.empty(0)
@@ -288,7 +288,9 @@ def _span_values(
         z_parts.append(z[cut])
         p_parts.append(p[cut])
     z = np.concatenate(z_parts)
-    return z, np.concatenate(p_parts) if antithetic else z
+    p = np.concatenate(p_parts) if antithetic else z
+    _check_finite(start, z, p)
+    return z, p
 
 
 def _check_finite(start: int, *values: np.ndarray) -> None:
@@ -308,24 +310,6 @@ def _check_finite(start: int, *values: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _level_span(
-    model: BayesModel,
-    config: EstimatorConfig,
-    level: int,
-    start: int,
-    count: int,
-    stream: RandomStream,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unchecked (Z, P) of a level on its correction streams."""
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    m = config.inner_count(level)
-    return _span_values(
-        model, m, start, count, stream,
-        _PURPOSE_CORRECTION, level, config.use_is, antithetic=level >= 1,
-    )
-
-
 def sample_level_values(
     model: BayesModel,
     config: EstimatorConfig,
@@ -337,9 +321,7 @@ def sample_level_values(
     """Batch of level-``level`` variable realisations for outer indices
     [start, start + count): the level-zero variable at level 0, antithetic
     corrections at levels >= 1.  ``config.use_is`` is the importance switch."""
-    z, _ = _level_span(model, config, level, start, count, stream)
-    _check_finite(start, z)
-    return z
+    return sample_level_pair(model, config, level, start, count, stream)[0]
 
 
 def sample_level_pair(
@@ -353,9 +335,12 @@ def sample_level_pair(
     """(Z, P) for outer indices [start, start + count): Z as
     :func:`sample_level_values` gives it, and the plain nested values P with
     M_l inner samples from the same outer draws, so at level 0 P is Z."""
-    z, p = _level_span(model, config, level, start, count, stream)
-    _check_finite(start, z, p)
-    return z, p
+    if level < 0:
+        raise ValueError("level must be >= 0")
+    return _span_values(
+        model, config.inner_count(level), start, count, stream,
+        _PURPOSE_CORRECTION, level, config.use_is, antithetic=level >= 1,
+    )
 
 
 def sample_p_values(
@@ -370,12 +355,7 @@ def sample_p_values(
     ``use_is`` is the importance switch."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    _, p = _span_values(
-        model, m, start, count, stream,
-        _PURPOSE_PLAIN, m, use_is, antithetic=False,
-    )
-    _check_finite(start, p)
-    return p
+    return _span_values(model, m, start, count, stream, _PURPOSE_PLAIN, m, use_is, antithetic=False)[1]
 
 
 def nmc_estimate(

@@ -18,10 +18,9 @@ import warnings
 import numpy as np
 
 from .bayes import BayesModel
+from .gaussian import LOG_2PI
 
 __all__ = ["LaplaceBatch", "fit_batch"]
-
-_LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 class LaplaceBatch:
@@ -39,7 +38,7 @@ class LaplaceBatch:
         self.chol_prec = chol_prec
         d = theta_hat.shape[-1]
         logdiag = np.log(np.diagonal(chol_prec, axis1=1, axis2=2))
-        self.log_norm = -0.5 * d * _LOG_2PI + np.sum(logdiag, axis=1)
+        self.log_norm = -0.5 * d * LOG_2PI + np.sum(logdiag, axis=1)
 
     def draw(self, z: np.ndarray) -> np.ndarray:
         """Map standard normals (B, M, d) to samples of the fitted Gaussians:

@@ -5,6 +5,7 @@ lognormal priors and three blood-sampling schedules.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,9 +112,6 @@ def make_linear_model(spec: LinearGaussianSpec) -> BayesModel:
 
 BETA_SHAPE = (0.7, 1.2)
 SCHEDULE_HORIZON = 24.0
-# Relative threshold below which k_a and k_e are treated as equal and the
-# confluent-limit formulas take over.
-_SEAM_TOL = 1e-8
 
 
 def sampling_schedule(scheme: str, J: int = 15) -> np.ndarray:
@@ -176,6 +174,14 @@ class PkSpec:
 
 # Rows per _pk_chunk pass, which makes about 25 temporaries of shape (rows, J).
 _PK_CHUNK = 2048
+# Rows with |k_a - k_e| < _NEAR k_a take _pk_near's moments: beyond that band
+# the closed form loses about (k_a / |k_a - k_e|)^(k+1) eps in its k-th derivative.
+_NEAR = 1e-2
+# int_0^1 v^b (1 - v)^a e^(s v) dv = sum_k s^k a! / (k! (k + b + 1) ... (k + a + b + 1)).
+# 40 terms leave a tail below 0.1 eps up to s = 7.46, and a band row has s < _NEAR M t:
+# where _pk_near clips s there, M t > 746 and e^(-M t) = 0.
+_MOMENTS = np.array([[math.factorial(a) / (math.factorial(k) * math.prod(range(k + b + 1, k + a + b + 2)))
+                      for a, b in ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1))] for k in range(40)])
 
 
 def _pk_outputs(rows: int, J: int, order: int) -> list:
@@ -186,9 +192,8 @@ def _pk_terms(spec: PkSpec, theta: np.ndarray, order: int):
     """g at physical theta and, for order >= 1, derivatives with respect to
     the LOG parameters x = log(theta).
 
-    g = (D/V) * k_a/(k_a - k_e) * (exp(-k_e t) - exp(-k_a t)), switching to
-    the confluent limit (D/V) * k_a * t * exp(-k_a t) where k_a and k_e
-    coincide to within 1e-8 relative.
+    g = (D/V) * k_a/(k_a - k_e) * (exp(-k_e t) - exp(-k_a t)), written as a
+    series of positive moments within 1e-2 relative of k_a = k_e.
 
     Returns C-contiguous (g, jac, hess), jac (..., J, 3) and hess
     (..., J, 3, 3); entries beyond ``order`` are None.  :func:`_pk_chunk`
@@ -203,6 +208,27 @@ def _pk_terms(spec: PkSpec, theta: np.ndarray, order: int):
     return tuple(a if a is None else a.reshape(theta.shape[:-1] + a.shape[1:]) for a in out)
 
 
+def _pk_near(spec: PkSpec, theta: np.ndarray):
+    """(g, j1, j2, h11, h12, h22) of :func:`_pk_chunk` on rows (n, 3) near the
+    seam: g = A I with A = (D/V) k_a t e^(-M t), M = max(k_a, k_e), and I the
+    mean of e^(s v) over v in [0, 1], s = |k_a - k_e| t, v the smaller rate's
+    share.  D_a and D_e bring down -k_a t and -k_e t times the shares u of k_a
+    and 1 - u of k_e, so I_a, I_e, I_aa, I_ee and I_ae are I's moments in u,
+    1 - u, u^2, (1 - u)^2 and u (1 - u): series in s of positive terms, exact
+    at s = 0.  j1 = g - A k_a t I_a, j2 = -A k_e t I_e, h11 = j1 + A k_a t
+    (k_a t I_aa - 2 I_a), h12 = j2 + A k_a t k_e t I_ae, h22 = j2 + A (k_e t)^2 I_ee.
+    """
+    t = spec.schedule
+    ka, ke, v = theta[:, 0:1], theta[:, 1:2], theta[:, 2:3]
+    kat, ket = ka * t, ke * t
+    m = np.polynomial.polynomial.polyval(np.minimum(np.abs(ka - ke) * t, 7.46), _MOMENTS)
+    q, ia, ie, iaa, iee, iae = np.where(ka >= ke, m, m[[0, 2, 1, 4, 3, 5]])  # v = 1 - u where k_a is M
+    a = spec.dose / v * kat * np.exp(-np.maximum(ka, ke) * t)
+    g = a * q
+    j1, j2 = g - a * kat * ia, -a * ket * ie
+    return g, j1, j2, j1 + a * kat * (kat * iaa - 2.0 * ia), j2 + a * kat * ket * iae, j2 + a * ket * ket * iee
+
+
 def _pk_chunk(spec: PkSpec, theta: np.ndarray, order: int, out: list):
     """:func:`_pk_terms` on rows (n, 3), written into ``out`` from :func:`_pk_outputs`.
 
@@ -211,29 +237,27 @@ def _pk_chunk(spec: PkSpec, theta: np.ndarray, order: int, out: list):
     and g = Q - P, j1 = k_a t P - s g and j2 = s g - k_e t Q; with G = s r g,
     h11 = G - s j1 + k_a t P (1 - s - k_a t), h12 = s k_a t P - G - s j2 and
     h22 = G + s j2 - k_e t Q (1 + s - k_e t).  V scales g by 1/V, so J's
-    third column is -g and H's x3 row is (-j1, -j2, g).  Seam rows take the
-    confluent limits of g and its plain derivatives, chained into j and h.
+    third column is -g and H's x3 row is (-j1, -j2, g).  Rows near the seam,
+    where r and s cancel, take :func:`_pk_near`'s moment form instead.
     """
     t = spec.schedule
     g, jac, hess = out
     ka, ke, v = theta[:, 0:1], theta[:, 1:2], theta[:, 2:3]
     c = spec.dose / v
     ua, ue = np.exp(-ka * t), np.exp(-ke * t)
-    delta = ka - ke
-    seam = np.abs(delta) < _SEAM_TOL * ka
-    on_seam = np.any(seam)
-    dsafe = np.where(seam, 1.0, delta)
+    near = np.abs(ka - ke) < _NEAR * ka
+    rows = np.flatnonzero(near)
+    moments = _pk_near(spec, theta[rows]) if rows.size else None
+    dsafe = np.where(near, ka, ka - ke)  # r = 1 on near rows: nothing there overflows
     r = ka / dsafe
     cr = c * r
 
-    def pick(dst, on):
-        # the confluent limit ``on()`` is computed only for a chunk that meets
-        # the seam; elsewhere copying it where ``seam`` would leave dst bit for bit
-        if on_seam:
-            np.copyto(dst, on(), where=seam)
+    def splice(k, *planes):  # a chunk without a near row keeps the planes bit for bit
+        for dst, near_values in zip(planes, moments[k:] if moments else ()):
+            dst[rows] = near_values
 
     np.multiply(cr, ue - ua, out=g)
-    pick(g, lambda: c * ka * t * ua)
+    splice(0, g)
     if order == 0:
         return g, None, None
 
@@ -242,8 +266,7 @@ def _pk_chunk(spec: PkSpec, theta: np.ndarray, order: int, out: list):
     kap, keq = kat * (cr * ua), ket * (cr * ue)
     sg = s * g
     j1, j2 = kap - sg, sg - keq
-    pick(j1, lambda: ka * (c * ua * (t - ka * t * t / 2.0)))
-    pick(j2, lambda: ke * (-c * ua * ka * t * t / 2.0))
+    splice(1, j1, j2)
     jac[..., 0], jac[..., 1] = j1, j2
     np.negative(g, out=jac[..., 2])
     if order == 1:
@@ -253,10 +276,7 @@ def _pk_chunk(spec: PkSpec, theta: np.ndarray, order: int, out: list):
     h11 = (big_g - s * j1) + kap * ((1.0 - s) - kat)
     h12 = (s * kap - big_g) - s * j2
     h22 = (big_g + s * j2) - keq * ((1.0 + s) - ket)
-    t2, t3 = t * t, t * t * t
-    pick(h11, lambda: j1 + ka * ka * (c * ua * (-t2 + ka * t3 / 3.0)))
-    pick(h12, lambda: ka * ke * (c * ua * (-t2 / 2.0 + ka * t3 / 6.0)))
-    pick(h22, lambda: j2 + ke * ke * (c * ua * ka * t3 / 3.0))
+    splice(3, h11, h12, h22)
     hess[..., 0, 0], hess[..., 0, 1], hess[..., 1, 0], hess[..., 1, 1] = h11, h12, h12, h22
     hess[..., 2, :] = hess[..., :, 2] = -jac  # (-j1, -j2, g)
     return g, jac, hess
